@@ -77,16 +77,16 @@ def make_session() -> DuelSession:
 def splice_out_access_backend(session: DuelSession) -> None:
     """Reconstruct the pre-PR-9 chain: TracingBackend → Governed…
 
-    The tracing wrapper binds its inner read/write methods at
-    construction, so removing the access wrapper means rebinding
-    them too — the spliced chain pays exactly the old number of
-    attribute hops, which is the whole point of the comparison.
+    The tracing wrapper delegates everything but reads and writes to
+    its ``inner``; pointing that straight at the governed backend and
+    relinking the chain (which binds the read/write hops) leaves the
+    access wrapper nowhere in the stack — the spliced chain pays
+    exactly the old number of attribute hops, which is the whole
+    point of the comparison.
     """
-    tracing = session.evaluator.backend
-    access = tracing.inner
-    tracing.inner = access.inner
-    tracing._inner_get = tracing.inner.get_target_bytes
-    tracing._inner_put = tracing.inner.put_target_bytes
+    evaluator = session.evaluator
+    evaluator.backend.inner = evaluator.governed_backend
+    evaluator.link_chain()
 
 
 def run_once(name: str, session: DuelSession) -> float:

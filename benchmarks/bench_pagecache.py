@@ -124,7 +124,7 @@ def read_traffic() -> dict:
         for mode in MODES:
             session = make_session(spec, mode)
             session.duel(expr, out=io.StringIO())
-            stats = session.last_query_stats
+            stats = session.last_query.stats
             logical = stats.get("reads", 0)
             physical = stats.get("physical_reads", logical)
             entry[mode] = {

@@ -125,10 +125,11 @@ class _NullStream:
 def _pre_obs_duel(session, text, stream):
     """``session.duel`` as it was before the query log and flight
     recorder existed: same parse/trace/drive/finish skeleton, but no
-    qlog predicate, no recorder predicate, no ``_observe_query``."""
+    qlog predicate and no sink observes the finished record."""
     from time import perf_counter_ns
+
+    from repro.core.session import QueryRecord
     session.governor.begin_query()
-    session.last_query_stats = {}
     t0 = perf_counter_ns()
     node = session.compile(text)
     parse_ns = perf_counter_ns() - t0
@@ -142,7 +143,8 @@ def _pre_obs_duel(session, text, stream):
         for line in session._lines(node):
             stream.write(line + "\n")
     finally:
-        session._finish_query(tracer, baseline, parse_ns,
+        session._finish_query(QueryRecord(session, None, text, node),
+                              tracer, None, baseline, parse_ns,
                               perf_counter_ns() - drive_t0)
 
 

@@ -427,7 +427,7 @@ def run_command(session: DuelSession, text: str, out,
     if stats:
         governor = session.governor
         lookups = session.lookup_count - lookups_before
-        traffic = session.last_query_stats
+        traffic = session.last_query.stats
         out.write(f"[steps={governor.steps}, lookups={lookups}, "
                   f"reads={traffic.get('reads', 0)}, "
                   f"writes={traffic.get('writes', 0)}, "

@@ -187,11 +187,9 @@ class Evaluator:
         self.access_backend = AccessTracingBackend(self.governed_backend)
         self.backend = TracingBackend(self.access_backend)
         #: The active PageCachingBackend, or None (cache off: the hop
-        #: is spliced out of the chain entirely, same discipline as
-        #: the access tracer).
+        #: is left out of the chain entirely, like an idle access hop).
         self.page_cache = None
-        # Start with the access hop spliced out (no tracer attached).
-        self.set_access_tracer(None)
+        self.link_chain()
         #: The active QueryTracer, or None (tracing off: the only cost
         #: is the predicate check in :meth:`eval`).
         self.tracer = None
@@ -276,23 +274,11 @@ class Evaluator:
         """Attach (or detach, with None) a memory-access tracer.
 
         The tracer receives ``on_access(op, address, size)`` for every
-        target read/write at the interface boundary.  Detaching
-        splices the access hop out of the hot path entirely: the
-        outer counting backend's bound read/write methods are repointed
-        straight at the governed backend, so an untraced query pays
-        *zero* extra frames for the observatory — rebinding costs a
-        few attribute stores per attach/detach, paid only by profiled
-        queries.
+        target read/write at the interface boundary; detaching takes
+        the access hop out of the chain (:meth:`link_chain`).
         """
-        access = self.access_backend
-        access.tracer = tracer
-        outer = self.backend
-        if tracer is None:
-            outer._inner_get = access._inner_get
-            outer._inner_put = access._inner_put
-        else:
-            outer._inner_get = access.get_target_bytes
-            outer._inner_put = access.put_target_bytes
+        self.access_backend.tracer = tracer
+        self.link_chain()
 
     def set_page_cache(self, policy) -> None:
         """Install (or remove, with None/'off') the target page cache.
@@ -302,36 +288,44 @@ class Evaluator:
         the governed backend — the access tracer keeps seeing every
         logical read (the engine-parity oracle and scan classifier
         stay cache-independent) while the cache turns runs of small
-        reads into bulk inner ones.  With the cache off nothing is in
-        the chain at all: the access wrapper's bound inner methods
-        point straight at the governed backend, exactly the pre-cache
-        stack.  Requires a backend that exposes the target's memory
-        (for the coherence epoch); without one the cache is refused
-        and the chain is left untouched.
+        reads into bulk inner ones.  Requires a backend that exposes
+        the target's memory (for the coherence epoch); without one
+        the cache is refused and the chain runs uncached.
         """
         from repro.target.pagecache import PageCachingBackend
 
-        access = self.access_backend
         governed = self.governed_backend
-        if policy is None or not getattr(policy, "enabled", False):
-            self.page_cache = None
-            inner = governed
-        else:
+        self.page_cache = None
+        if policy is not None and getattr(policy, "enabled", False):
             memory = getattr(getattr(governed, "program", None),
                              "memory", None)
-            if memory is None:
-                self.page_cache = None
-                inner = governed
-            else:
+            if memory is not None:
                 self.page_cache = PageCachingBackend(
                     governed, policy, lambda: memory.epoch)
-                inner = self.page_cache
-        access.inner = inner
-        access._inner_get = inner.get_target_bytes
-        access._inner_put = inner.put_target_bytes
-        # Re-run the access splice so the outer counter's bound
-        # methods point at the right next hop.
-        self.set_access_tracer(access.tracer)
+        self.link_chain()
+
+    def link_chain(self) -> None:
+        """Lay out the backend chain and bind each hop's next read/write.
+
+        The active hops, outermost first: tracing; access, when a
+        tracer is attached; page cache, when a policy is set;
+        governed.  Each hop's bound ``_inner_get``/``_inner_put`` are
+        pointed at the next active hop once, here, so a hop that is
+        off costs the read/write hot path nothing: with no tracer and
+        no cache the tracing hop calls the target's own bound
+        ``get_target_bytes`` (resolved through the governed hop's
+        delegation at bind time).  Rebinding costs a few attribute
+        stores, paid only when the configuration changes.
+        """
+        hops = [self.backend]
+        if self.access_backend.tracer is not None:
+            hops.append(self.access_backend)
+        if self.page_cache is not None:
+            hops.append(self.page_cache)
+        hops.append(self.governed_backend)
+        for hop, below in zip(hops, hops[1:]):
+            hop._inner_get = below.get_target_bytes
+            hop._inner_put = below.put_target_bytes
 
     def eval(self, node: N.Node) -> Iterator[DuelValue]:
         """All values of ``node``, lazily (the paper's ``eval``)."""

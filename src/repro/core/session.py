@@ -34,11 +34,64 @@ from repro.core.parser import DuelParser
 from repro.core.symbolic import DEFAULT_FOLD
 from repro.core.values import DuelValue
 from repro.obs.access import (DEFAULT_PAGE_SIZE, AccessLog, AccessTracer,
-                              advise, compact_profile)
+                              advise)
 from repro.obs.metrics import MetricsRegistry, registry as process_registry
 from repro.obs.qlog import QueryLog, classify
-from repro.obs.recorder import FlightRecorder, should_dump
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import QueryTracer, RingBufferSink, TraceSink
+
+
+class QueryRecord:
+    """One finished query, frozen at its terminal event.
+
+    :meth:`DuelSession.ievents` builds exactly one per query, hands it
+    to each attached sink's ``observe(record)`` and carries it on the
+    terminal payload (``info["record"]``); every view of the query
+    renders from it, and nothing changes it once published (only the
+    fingerprint is filled in, lazily).  ``outcome`` is a qlog terminal
+    event name, ``kind`` the governor verdict, ``error`` the exception
+    that ended the query; ``stats``/``phases`` stay empty for a
+    rejected query.  ``access``/``access_records`` are an
+    access-traced query's profile and raw records, ``string_cache``
+    its string-literal cache hit/miss deltas, ``session`` the session
+    that ran it (post-mortems snapshot its metrics and limits).
+    """
+
+    __slots__ = ("session", "qid", "text", "node", "trace_id", "outcome",
+                 "kind", "values", "error", "stats", "phases", "access",
+                 "access_records", "tracer", "string_cache", "_fingerprint")
+
+    def __init__(self, session, qid: Optional[int], text: str,
+                 node: Optional[N.Node] = None,
+                 trace_id: Optional[str] = None, error=None):
+        self.session = session
+        self.qid = qid
+        self.text = text
+        self.node = node
+        self.trace_id = trace_id
+        self.outcome = "rejected"
+        self.kind = None
+        self.values = 0
+        # A record outlives its drive: keep the error, not the drive's
+        # frames (and rollback snapshot) its traceback would pin.
+        self.error = error.with_traceback(None) if error is not None \
+            else None
+        self.stats: dict = {}
+        self.phases: dict = {}
+        self.access: Optional[dict] = None
+        self.access_records: list = []
+        self.tracer: Optional[QueryTracer] = None
+        self.string_cache = (0, 0)
+        self._fingerprint = None
+
+    @property
+    def fingerprint(self):
+        """The statement fingerprint (None for a query that never
+        compiled), computed at most once, on first use."""
+        if self._fingerprint is None and self.node is not None:
+            from repro.obs.fingerprint import fingerprint
+            self._fingerprint = fingerprint(self.node)
+        return self._fingerprint
 
 
 class DuelSession:
@@ -100,43 +153,26 @@ class DuelSession:
         #: Sink receiving trace events while :attr:`tracing` is on;
         #: None means a fresh in-memory ring per query.
         self.trace_sink: Optional[TraceSink] = None
-        #: The tracer of the most recent traced query.
-        self.last_trace: Optional[QueryTracer] = None
-        #: Per-query stats of the most recent :meth:`duel`/:meth:`explain`
-        #: query: governor counters plus target-traffic/lookup deltas.
-        self.last_query_stats: dict = {}
-        #: Per-phase (parse/eval/format) milliseconds of that query.
-        self.last_query_phases: dict = {}
+        #: The :class:`QueryRecord` of the most recent :meth:`ievents`
+        #: query (:meth:`duel`, :meth:`explain`, :meth:`accesses`).
+        self.last_query: Optional[QueryRecord] = None
+        # The sinks below (and :attr:`metrics`) each observe every
+        # finished query's record; None = off at one predicate a query.
         #: Structured query log receiving one JSONL record per query
-        #: lifecycle event (``--query-log`` / ``qlog on``); None = off,
-        #: at the cost of a single predicate per query.
+        #: lifecycle event (``--query-log`` / ``qlog on``).
         self.qlog: Optional[QueryLog] = None
-        #: Flight recorder of recent completed queries; None = off.
-        #: Attaching one also turns per-query tracing on, so recorded
-        #: entries (and post-mortem dumps) carry EXPLAIN profile trees.
+        #: Flight recorder of recent completed queries.  Attaching one
+        #: also turns per-query tracing on, so recorded entries (and
+        #: post-mortem dumps) carry EXPLAIN profile trees.
         self.recorder: Optional[FlightRecorder] = None
-        #: Statement-statistics table (``repro.obs.statements``); None
-        #: = off at the cost of one predicate per query.  The serve
-        #: layer shares one table across every client session.
+        #: Statement-statistics table (``repro.obs.statements``).
         self.statements = None
-        #: Fingerprint of the most recent compiled query (set only
-        #: while qlog or statements observation is on).
-        self.last_fingerprint = None
-        #: Wire trace id of the in-flight query (set by the serve
-        #: layer so qlog terminal records carry it; None in-process).
-        self.current_trace_id: Optional[str] = None
-        #: Memory-access profile exporter (``--access-trace``); None =
-        #: off at the cost of one predicate per query.  When attached,
-        #: its head-sampling coin decides which queries run with the
-        #: access tracer on.
+        #: Memory-access profile exporter (``--access-trace``).  When
+        #: attached, its head-sampling coin decides which queries run
+        #: with the access tracer on.
         self.accesslog: Optional[AccessLog] = None
         #: Page size (bytes) access profiles aggregate locality at.
         self.access_page_size = DEFAULT_PAGE_SIZE
-        #: Access profile of the most recent access-traced query, and
-        #: the raw records behind it (the prefetch advisor replays
-        #: them); None when the last query ran untraced.
-        self.last_access: Optional[dict] = None
-        self.last_access_records: list = []
         self._format_ns = 0
 
     # -- compiling ------------------------------------------------------
@@ -237,16 +273,17 @@ class DuelSession:
                 truncation.produced = produced
             raise
 
-    def ievents(self, text: str, on_begin=None,
-                access: bool = False) -> Iterator[tuple]:
+    def ievents(self, text: str, on_begin=None, access: bool = False,
+                trace: bool = False,
+                trace_id: Optional[str] = None) -> Iterator[tuple]:
         """Drive one query as a stream of ``(kind, payload)`` events.
 
-        The full recovering drive of :meth:`duel` — governor, qlog,
-        tracer, metrics, flight recorder, failed-query rollback — as a
-        lazy event stream instead of writes to a text stream, so a
-        front end that is *not* a terminal (the ``repro.serve`` query
-        service) can multiplex queries without re-implementing the
-        lifecycle.  Events, in order:
+        The one query lifecycle — governor, qlog, tracer, sinks,
+        failed-query rollback — as a lazy event stream, so a front end
+        that is *not* a terminal (the ``repro.serve`` query service)
+        can multiplex queries without re-implementing it; :meth:`duel`,
+        :meth:`explain` and :meth:`accesses` all render it.  Events, in
+        order:
 
         ``("value", line)``
             one per output line, produced as the generator tree drives;
@@ -262,47 +299,48 @@ class DuelSession:
             (``info["error"]`` set, nothing was driven).
 
         ``info`` always carries ``values`` (lines actually produced)
-        and, for driven queries, ``stats``/``phases`` snapshots.
-        ``on_begin`` (when given) runs after the governor reset but
-        before the first value is pulled — the serve layer uses it to
-        close the race between a ``cancel`` frame and query start.
-        ``access=True`` forces the memory-access tracer on for this
-        query (the ``accesses`` command); otherwise the access log's
-        sampling coin decides, and with no access log attached the
-        cost is one predicate.
+        and ``record``, the query's :class:`QueryRecord` — frozen and
+        already observed by every attached sink before the terminal
+        event is yielded — and, for driven queries, its
+        ``stats``/``phases``.  ``on_begin`` (when given) runs after the
+        governor reset but before the first value is pulled — the
+        serve layer uses it to close the race between a ``cancel``
+        frame and query start.  ``access=True`` forces the
+        memory-access tracer on for this query (the ``accesses``
+        command); otherwise the access log's sampling coin decides,
+        and with no access log attached the cost is one predicate.
+        ``trace=True`` forces the engine tracer on for this query
+        (``explain``, a sampled or profiled served request), and
+        ``trace_id`` is the wire trace id the record carries.
         """
         self.governor.begin_query()
-        self.last_query_stats = {}
-        self.last_fingerprint = None
-        self.last_access = None
         qlog = self.qlog
         qid = qlog.begin(text, "generator") if qlog is not None else None
         t0 = perf_counter_ns()
         try:
             node = self.compile(text)
         except DuelError as error:
-            if qid is not None:
-                qlog.end(qid, "rejected", error=error,
-                         trace_id=self.current_trace_id)
+            record = self._publish(QueryRecord(self, qid, text,
+                                               trace_id=trace_id,
+                                               error=error))
             yield ("error", {"values": 0, "error": str(error),
-                             "error_type": type(error).__name__})
+                             "error_type": type(error).__name__,
+                             "record": record})
             return
         parse_ns = perf_counter_ns() - t0
         if qid is not None:
             qlog.parsed(qid, parse_ns / 1e6, node)
-        if access or qid is not None or self.statements is not None \
-                or self.accesslog is not None:
-            from repro.obs.fingerprint import fingerprint as _fingerprint
-            self.last_fingerprint = _fingerprint(node)
         self._record(text)
         if on_begin is not None:
             on_begin()
-        tracer = self._attach_tracer(node, text)
         accesslog = self.accesslog
-        if access or (accesslog is not None and accesslog.sample_next()):
-            tracer, atracer = self._attach_access(node, text, tracer)
-        else:
-            atracer = None
+        profiled = access or (accesslog is not None
+                              and accesslog.sample_next())
+        tracer = self._attach_tracer(node, text, trace, profiled)
+        atracer = None
+        if profiled:
+            atracer = AccessTracer(spans=tracer)
+            self.evaluator.set_access_tracer(atracer)
         checkpoint = self._checkpoint_for(node)
         self.evaluator.reset()
         baseline = self._stats_baseline()
@@ -327,27 +365,22 @@ class DuelSession:
             failure = DuelCancelled("drive abandoned")
             raise
         finally:
-            self._finish_query(tracer, baseline, parse_ns,
-                               perf_counter_ns() - drive_t0)
-            if atracer is not None:
-                self._finish_access(atracer)
-            if qid is not None or self.recorder is not None \
-                    or self.statements is not None \
-                    or self.last_access is not None:
-                self._observe_query(qid, text, failure, tracer)
-        outcome, kind = classify(failure)
-        info: dict = {"values": produced,
-                      "stats": dict(self.last_query_stats),
-                      "phases": dict(self.last_query_phases)}
-        if kind is not None:
-            info["kind"] = kind
-        if self.last_access is not None:
-            info["access"] = dict(self.last_access)
+            record = self._publish(self._finish_query(
+                QueryRecord(self, qid, text, node, trace_id, failure),
+                tracer, atracer, baseline, parse_ns,
+                perf_counter_ns() - drive_t0))
+        info: dict = {"values": produced, "stats": record.stats,
+                      "phases": record.phases, "record": record}
+        if record.kind is not None:
+            info["kind"] = record.kind
+        if record.access is not None:
+            info["access"] = record.access
             if access:
                 # Explicitly requested profiles (the ``accesses``
                 # command/op) carry the advisor sweep; sampled ones
                 # stay cheap.
-                info["advisor"] = advise(self.last_access_records)
+                info["advisor"] = advise(record.access_records)
+        outcome = record.outcome
         if outcome == "drained":
             yield ("done", info)
         elif outcome in ("truncated", "cancelled"):
@@ -392,8 +425,9 @@ class DuelSession:
     def explain(self, text: str, out=None) -> None:
         """Run ``text`` traced and print its per-node profile tree.
 
-        The query is driven exactly like :meth:`duel` — quotas,
-        rollback and truncation all apply — but the output lines are
+        The query is :meth:`ievents` with the engine tracer forced on
+        — quotas, rollback, truncation and every attached sink apply
+        exactly as under :meth:`duel` — but the output lines are
         swallowed; what prints instead is the annotated AST profile
         (pulls, yields, time share, attributed target reads per node)
         and a one-line summary, the REPL's ``explain`` command.
@@ -401,108 +435,47 @@ class DuelSession:
         import sys
         from repro.obs.explain import profile_footer, render_profile
         stream = out if out is not None else sys.stdout
-        self.governor.begin_query()
-        self.last_query_stats = {}
-        self.last_fingerprint = None
-        self.last_access = None
-        qlog = self.qlog
-        qid = qlog.begin(text, "generator") if qlog is not None else None
-        t0 = perf_counter_ns()
-        try:
-            node = self.compile(text)
-        except DuelError as error:
-            if qid is not None:
-                qlog.end(qid, "rejected", error=error)
-            stream.write(str(error) + "\n")
-            return
-        parse_ns = perf_counter_ns() - t0
-        if qid is not None:
-            qlog.parsed(qid, parse_ns / 1e6, node)
-        if qid is not None or self.statements is not None:
-            from repro.obs.fingerprint import fingerprint as _fingerprint
-            self.last_fingerprint = _fingerprint(node)
-        self._record(text)
-        # Reuse the session sink (--trace-json) when one is attached;
-        # span aggregates alone are enough for the profile otherwise.
-        tracer = QueryTracer(self.trace_sink)
-        tracer.begin(node, text)
-        self.evaluator.set_tracer(tracer)
-        checkpoint = self._checkpoint_for(node)
-        self.evaluator.reset()
-        baseline = self._stats_baseline()
-        note = None
-        failure = None
-        drive_t0 = perf_counter_ns()
-        try:
-            for _ in self._lines(node):
-                pass
-        except DuelTruncation as truncation:
-            failure = truncation
-            produced = truncation.produced if truncation.produced \
-                is not None else self.governor.lines
-            note = truncation.diagnostic(produced)
-        except DuelError as error:
-            failure = error
-            self._restore(checkpoint)
-            note = str(error)
-        finally:
-            self._finish_query(tracer, baseline, parse_ns,
-                               perf_counter_ns() - drive_t0)
-            if qid is not None or self.recorder is not None \
-                    or self.statements is not None:
-                self._observe_query(qid, text, failure, tracer)
-        for line in render_profile(node, tracer):
+        for kind, info in self.ievents(text, trace=True):
+            if kind == "error":
+                stream.write(info["error"] + "\n")
+                return
+        record = info["record"]
+        for line in render_profile(record.node, record.tracer):
             stream.write(line + "\n")
-        stats = self.last_query_stats
+        stats = record.stats
         stream.write(profile_footer(stats.get("lines", 0),
                                     stats.get("wall_ms", 0.0), stats) + "\n")
+        note = info.get("diagnostic", info.get("error"))
         if note is not None:
             stream.write(note + "\n")
 
     # -- per-query accounting ------------------------------------------------
-    def _attach_tracer(self, node: N.Node,
-                       text: str) -> Optional[QueryTracer]:
-        """A fresh per-query tracer when tracing or the recorder is on.
+    def _attach_tracer(self, node: N.Node, text: str, trace: bool = False,
+                       access: bool = False) -> Optional[QueryTracer]:
+        """A fresh per-query engine tracer, or None when nothing wants one.
 
-        The flight recorder implies tracing (its entries carry the
-        query's profile tree), but with a much smaller event ring —
-        post-mortems want the span aggregates plus a short tail of
-        events, not 64k of them per query.
+        Tracing (``trace``, or REPL ``trace on``) rings up to 64k
+        events; the flight recorder implies a tracer with a much
+        smaller ring (post-mortems want span aggregates plus a short
+        event tail); an access-traced query gets a bare, sinkless one
+        — access records carry the preorder index of the node being
+        pulled, which lives on its span stack.
         """
         recorder = self.recorder
-        if not self.tracing and recorder is None:
+        traced = trace or self.tracing
+        if traced or recorder is not None:
+            sink = self.trace_sink
+            if sink is None:
+                sink = RingBufferSink(65536 if traced
+                                      else recorder.ring_capacity)
+        elif access:
+            sink = None
+        else:
             return None
-        sink = self.trace_sink
-        if sink is None:
-            capacity = 65536 if self.tracing else recorder.ring_capacity
-            sink = RingBufferSink(capacity)
         tracer = QueryTracer(sink)
         tracer.begin(node, text)
         self.evaluator.set_tracer(tracer)
         return tracer
-
-    def _attach_access(self, node: N.Node, text: str, tracer):
-        """Arm the memory-access tracer for this query.
-
-        Access records carry the preorder index of the AST node being
-        pulled, which lives on the engine tracer's span stack — so a
-        query profiled without ``trace on`` gets a bare (sinkless)
-        :class:`QueryTracer` for attribution.  Returns the (possibly
-        new) engine tracer and the access tracer.
-        """
-        if tracer is None:
-            tracer = QueryTracer(None)
-            tracer.begin(node, text)
-            self.evaluator.set_tracer(tracer)
-        atracer = AccessTracer(spans=tracer)
-        self.evaluator.set_access_tracer(atracer)
-        return tracer, atracer
-
-    def _finish_access(self, atracer) -> None:
-        """Detach the access tracer and freeze its profile."""
-        self.evaluator.set_access_tracer(None)
-        self.last_access_records = atracer.records()
-        self.last_access = atracer.profile(self.access_page_size)
 
     def accesses(self, text: str) -> dict:
         """Drive ``text`` access-traced; report where its reads went.
@@ -515,38 +488,35 @@ class DuelSession:
         classification, page locality) plus the prefetch advisor's
         projected hit rates for the recorded trace.
         """
-        outcome, info = "error", {}
-        for kind, payload in self.ievents(text, access=True):
-            if kind != "value":
-                outcome, info = kind, payload
-        result: dict = {"outcome": outcome,
-                        "values": info.get("values", 0)}
+        for kind, info in self.ievents(text, access=True):
+            pass
+        record = info["record"]
+        result: dict = {"outcome": kind, "values": info["values"]}
         for key in ("diagnostic", "error", "error_type",
                     "access", "advisor"):
             if key in info:
                 result[key] = info[key]
-        if self.last_fingerprint is not None:
-            result["fingerprint"] = self.last_fingerprint.hash
-        cache = self.evaluator.page_cache
-        if cache is not None:
-            result["cache"] = self.cache_report()
+        if record.fingerprint is not None:
+            result["fingerprint"] = record.fingerprint.hash
+        if self.evaluator.page_cache is not None:
+            result["cache"] = self.cache_report(record)
         return result
 
-    def cache_report(self) -> dict:
+    def cache_report(self, record: QueryRecord) -> dict:
         """Measured page-cache behaviour vs. the advisor's projection.
 
         The closing of PR 9's loop: the advisor *projected* hit rates
         by replaying traces through a simulated LRU; with the real
-        cache attached this reports what the query actually saw at
-        the configured (page size, capacity) point next to what the
-        simulation projects for the same recorded trace — a live
-        calibration check for the advisor's model.  Empty dict when
-        no cache is attached.
+        cache attached this reports what ``record``'s query actually
+        saw at the configured (page size, capacity) point next to
+        what the simulation projects for the same recorded trace — a
+        live calibration check for the advisor's model.  Empty dict
+        when no cache is attached.
         """
         cache = self.evaluator.page_cache
         if cache is None:
             return {}
-        stats = self.last_query_stats
+        stats = record.stats
         report = {
             "mode": cache.policy.mode,
             "page_size": cache.policy.page_size,
@@ -559,9 +529,9 @@ class DuelSession:
             "measured_hit_rate": stats.get("cache_hit_rate", 0.0),
             "pattern": cache.stats()["pattern"],
         }
-        if self.last_access_records:
+        if record.access_records:
             from repro.obs.access import simulate_page_cache
-            projection = simulate_page_cache(self.last_access_records,
+            projection = simulate_page_cache(record.access_records,
                                              cache.policy.page_size,
                                              cache.policy.capacity)
             report["projected_hit_rate"] = projection["hit_rate"]
@@ -580,137 +550,80 @@ class DuelSession:
                 evaluator.string_cache_hits, evaluator.string_cache_misses,
                 cache.counters() if cache is not None else None)
 
-    def _finish_query(self, tracer: Optional[QueryTracer], baseline: tuple,
-                      parse_ns: int, drive_ns: int) -> None:
-        """Freeze the clock, detach tracing, record per-query stats.
+    def _finish_query(self, record: QueryRecord, tracer, atracer,
+                      baseline: tuple, parse_ns: int,
+                      drive_ns: int) -> QueryRecord:
+        """Freeze the clock, detach the tracers, complete ``record``.
 
-        Fills :attr:`last_query_stats` with the governor counters plus
-        the query's target-traffic and lookup deltas, and folds the
-        query into the metrics registry — so identical back-to-back
-        queries report identical per-query stats (wall time aside).
+        Fills in the outcome, the governor counters plus the query's
+        target-traffic, lookup and page-cache deltas, the phase split
+        and the access profile — so identical back-to-back queries
+        report identical per-query stats (wall time aside).
         """
         self.governor.end_query()
+        evaluator = self.evaluator
         if tracer is not None:
             tracer.finish()
-            self.evaluator.set_tracer(None)
-            self.last_trace = tracer
-        backend = self.evaluator.backend
-        evaluator = self.evaluator
+            evaluator.set_tracer(None)
+            record.tracer = tracer
+        if atracer is not None:
+            evaluator.set_access_tracer(None)
+            record.access_records = atracer.records()
+            record.access = atracer.profile(self.access_page_size)
+        backend = evaluator.backend
         (reads0, writes0, calls0, allocs0, lookups0, hits0, misses0,
          cache0) = baseline
-        traffic = {
-            "reads": backend.reads - reads0,
-            "writes": backend.writes - writes0,
-            "calls": backend.calls - calls0,
-            "allocs": backend.allocs - allocs0,
-        }
         stats = self.governor.stats()
-        stats.update(traffic)
+        stats["reads"] = backend.reads - reads0
+        stats["writes"] = backend.writes - writes0
+        stats["calls"] = backend.calls - calls0
+        stats["allocs"] = backend.allocs - allocs0
         stats["lookups"] = evaluator.scope.lookup_count - lookups0
         cache = evaluator.page_cache
-        cache_deltas = None
         if cache is not None and cache0 is not None:
             # Logical reads (``reads`` above, counted over the cache)
             # and physical inner reads diverge by design; both travel
             # so ``reads_per_value`` stays honest downstream.
             now = cache.counters()
-            cache_deltas = {name: now[name] - cache0[name]
-                            for name in cache0}
-            stats.update(cache_deltas)
-            looked = cache_deltas["cache_hits"] \
-                + cache_deltas["cache_misses"]
+            stats.update({name: now[name] - cache0[name]
+                          for name in cache0})
+            looked = stats["cache_hits"] + stats["cache_misses"]
             stats["cache_hit_rate"] = round(
-                cache_deltas["cache_hits"] / looked, 4) if looked else 0.0
-        self.last_query_stats = stats
+                stats["cache_hits"] / looked, 4) if looked else 0.0
+        record.stats = stats
         format_ns = self._format_ns
-        self.last_query_phases = {
-            "parse": parse_ns / 1e6,
-            "eval": max(drive_ns - format_ns, 0) / 1e6,
-            "format": format_ns / 1e6}
-        if self.metrics is not None:
-            self.metrics.record_query(self.governor.stats(), traffic,
-                                      phases=self.last_query_phases)
-            self.metrics.counter("string_cache_hits").inc(
-                evaluator.string_cache_hits - hits0)
-            self.metrics.counter("string_cache_misses").inc(
-                evaluator.string_cache_misses - misses0)
-            if cache_deltas is not None:
-                for name in ("cache_hits", "cache_misses",
-                             "cache_evictions", "physical_reads",
-                             "prefetched_bytes", "prefetch_hits"):
-                    self.metrics.counter(name).inc(cache_deltas[name])
-                self.metrics.gauge("cache_hit_rate").set(
-                    round(self.metrics.cache_rate("cache"), 4))
-
-    def _observe_query(self, qid: Optional[int], text: str, failure,
-                       tracer: Optional[QueryTracer]) -> None:
-        """Feed one finished query to the query log and flight recorder.
-
-        Runs in the drive's ``finally`` (after :meth:`_finish_query`
-        froze the stats), so every query — drained, truncated,
-        cancelled or faulted — leaves exactly one terminal log record,
-        and the recorder window always reflects what actually ran.
-        """
-        outcome, kind = classify(failure)
-        stats = self.last_query_stats
+        record.phases = {"parse": parse_ns / 1e6,
+                         "eval": max(drive_ns - format_ns, 0) / 1e6,
+                         "format": format_ns / 1e6}
+        record.string_cache = (evaluator.string_cache_hits - hits0,
+                               evaluator.string_cache_misses - misses0)
+        failure = record.error
+        record.outcome, record.kind = classify(failure)
         # The governor's lines counter includes the charge that tripped
         # the quota; the truncation knows how many values actually made
         # it out, and that is what the record should say.
         produced = getattr(failure, "produced", None)
-        values = produced if produced is not None \
+        record.values = produced if produced is not None \
             else stats.get("lines", 0)
-        fp = self.last_fingerprint
-        access = self.last_access
-        if qid is not None:
-            self.qlog.end(qid, outcome, values=values, kind=kind,
-                          error=failure if outcome == "faulted" else None,
-                          stats=stats, phases=self.last_query_phases,
-                          fingerprint=fp.hash if fp is not None else None,
-                          trace_id=self.current_trace_id,
-                          access=compact_profile(access)
-                          if access is not None else None)
-        statements = self.statements
-        if statements is not None and fp is not None:
-            statements.record(fp.hash, fp.text, outcome=outcome,
-                              values=values, stats=stats,
-                              phases=self.last_query_phases)
-            if access is not None:
-                statements.record_access(fp.hash, access)
-        accesslog = self.accesslog
-        if accesslog is not None and access is not None:
-            record = {"ev": "access", "text": text, "outcome": outcome,
-                      "values": values, "profile": access}
-            if fp is not None:
-                record["fingerprint"] = fp.hash
-            if self.current_trace_id is not None:
-                record["trace_id"] = self.current_trace_id
-            accesslog.export(record)
-        recorder = self.recorder
-        if recorder is None:
-            return
-        entry = {"qid": qid, "text": text, "outcome": outcome,
-                 "values": values, "stats": dict(stats),
-                 "phases": dict(self.last_query_phases)}
-        if kind is not None:
-            entry["kind"] = kind
-        if failure is not None and outcome == "faulted":
-            entry["error"] = str(failure)
-            entry["error_type"] = type(failure).__name__
-        if tracer is not None:
-            entry["explain"] = [span.as_dict() for span in tracer.spans]
-            events = tracer.events()
-            if events:
-                entry["events"] = [list(event) for event in events]
-        recorder.record(entry)
-        if recorder.dump_dir is not None and should_dump(outcome, failure):
-            reason = f"{outcome}: query {qid} {text!r}"
-            if failure is not None:
-                reason += f" ({failure})"
-            try:
-                recorder.dump(reason, metrics=self.metrics,
-                              governor=self.governor)
-            except OSError:
-                pass        # a failing dump must never break the session
+        return record
+
+    def _publish(self, record: QueryRecord) -> QueryRecord:
+        """Make ``record`` the last query and hand it to every sink —
+        metrics first, the recorder last, so a post-mortem the
+        recorder dumps already counts this query."""
+        self.last_query = record
+        for sink in (self.metrics, self.qlog, self.statements,
+                     self.accesslog, self.recorder):
+            if sink is not None:
+                sink.observe(record)
+        return record
+
+    @property
+    def last_fingerprint(self):
+        """Fingerprint of the most recent query (None if it never
+        compiled, or before the first one)."""
+        record = self.last_query
+        return record.fingerprint if record is not None else None
 
     # -- failed-query rollback ----------------------------------------------
     def _checkpoint_for(self, node: N.Node):

@@ -435,6 +435,20 @@ class AccessLog:
             self._admissions += 1
             return self._admissions % self.sample == 0
 
+    def observe(self, record) -> None:
+        """Export an access-traced query's profile (a session sink;
+        ``record`` is a :class:`~repro.core.session.QueryRecord`)."""
+        if record.access is None:
+            return
+        line = {"ev": "access", "text": record.text,
+                "outcome": record.outcome, "values": record.values,
+                "profile": record.access}
+        if record.fingerprint is not None:
+            line["fingerprint"] = record.fingerprint.hash
+        if record.trace_id is not None:
+            line["trace_id"] = record.trace_id
+        self.export(line)
+
     def export(self, record: dict) -> None:
         """Write one ``{"ev": "access", ...}`` record (flushed)."""
         line = json.dumps(record) + "\n"

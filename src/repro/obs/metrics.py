@@ -236,6 +236,27 @@ class MetricsRegistry:
             for name, ms in phases.items():
                 self.histogram(f"phase_{name}_ms").observe(ms)
 
+    def observe(self, record) -> None:
+        """Fold a finished query into the totals (a session sink;
+        ``record`` is a :class:`~repro.core.session.QueryRecord`).
+        Rejected queries never ran and are not counted."""
+        if record.outcome == "rejected":
+            return
+        stats = record.stats
+        self.record_query(stats, {name: stats[name] for name in
+                                  ("reads", "writes", "calls", "allocs")},
+                          phases=record.phases)
+        hits, misses = record.string_cache
+        self.counter("string_cache_hits").inc(hits)
+        self.counter("string_cache_misses").inc(misses)
+        if "physical_reads" in stats:        # the page cache is on
+            for name in ("cache_hits", "cache_misses", "cache_evictions",
+                         "physical_reads", "prefetched_bytes",
+                         "prefetch_hits"):
+                self.counter(name).inc(stats[name])
+            self.gauge("cache_hit_rate").set(
+                round(self.cache_rate("cache"), 4))
+
     def cache_rate(self, name: str) -> float:
         """Hit rate of a ``<name>_hits`` / ``<name>_misses`` pair."""
         hits = self.counter(f"{name}_hits").value

@@ -185,6 +185,22 @@ class QueryLog:
             self._write_locked(record)
             self._flush_locked()
 
+    def observe(self, record) -> None:
+        """Write a finished query's terminal record (a session sink;
+        ``record`` is a :class:`~repro.core.session.QueryRecord`)."""
+        fp = record.fingerprint
+        access = record.access
+        if access is not None:
+            from repro.obs.access import compact_profile
+            access = compact_profile(access)
+        self.end(record.qid, record.outcome, values=record.values,
+                 kind=record.kind,
+                 error=record.error if record.outcome in
+                 ("faulted", "rejected") else None,
+                 stats=record.stats, phases=record.phases,
+                 fingerprint=fp.hash if fp is not None else None,
+                 trace_id=record.trace_id, access=access)
+
     def server_event(self, kind: str, **fields) -> None:
         """A qid-less server lifecycle record (flushed immediately).
 

@@ -101,6 +101,42 @@ class FlightRecorder:
             self.entries.append(entry)
             self.recorded += 1
 
+    def observe(self, record) -> None:
+        """Record a finished query, dumping when its ending warrants
+        it (a session sink; ``record`` is a
+        :class:`~repro.core.session.QueryRecord`).  Rejected queries
+        never ran and are not recorded."""
+        outcome = record.outcome
+        if outcome == "rejected":
+            return
+        error = record.error
+        entry = {"qid": record.qid, "text": record.text,
+                 "outcome": outcome, "values": record.values,
+                 "stats": dict(record.stats),
+                 "phases": dict(record.phases)}
+        if record.kind is not None:
+            entry["kind"] = record.kind
+        if error is not None and outcome == "faulted":
+            entry["error"] = str(error)
+            entry["error_type"] = type(error).__name__
+        tracer = record.tracer
+        if tracer is not None:
+            entry["explain"] = [span.as_dict() for span in tracer.spans]
+            events = tracer.events()
+            if events:
+                entry["events"] = [list(event) for event in events]
+        self.record(entry)
+        if self.dump_dir is not None and should_dump(outcome, error):
+            reason = f"{outcome}: query {record.qid} {record.text!r}"
+            if error is not None:
+                reason += f" ({error})"
+            session = record.session
+            try:
+                self.dump(reason, metrics=session.metrics,
+                          governor=session.governor)
+            except OSError:
+                pass        # a failing dump must never break the session
+
     def pin(self, reason: str, entry: dict) -> None:
         """Keep one record outside the rolling window's eviction.
 

@@ -31,10 +31,10 @@ from typing import Optional
 from repro.obs.exposition import escape_label_value, sanitize
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, Histogram
 
-#: Phases every entry tracks.  Session phases come from
-#: ``DuelSession.last_query_phases``; serve phases from the server's
-#: request span tree.  Unknown phase names are dropped, keeping the
-#: per-entry memory bound exact.
+#: Phases every entry tracks.  Session phases come from the query's
+#: :class:`~repro.core.session.QueryRecord`; serve phases from the
+#: server's request span tree.  Unknown phase names are dropped,
+#: keeping the per-entry memory bound exact.
 PHASES = ("queue", "lock", "parse", "eval", "format", "stream")
 
 #: Snapshot orderings the ``statements`` op accepts.  ``reads`` and
@@ -203,6 +203,19 @@ class StatementStats:
                             Histogram(DEFAULT_MS_BUCKETS)
                     hist.observe(ms)
 
+    def observe(self, record, serve_phases: Optional[dict] = None) -> None:
+        """Fold one finished query's record into its row (a session
+        sink).  The serve layer calls it itself, adding the
+        queue/lock/stream phases only it measures; a query that never
+        compiled has no fingerprint and is skipped."""
+        fp = record.fingerprint
+        if fp is not None:
+            self.record(fp.hash, fp.text, outcome=record.outcome,
+                        values=record.values, stats=record.stats,
+                        phases=record.phases if serve_phases is None
+                        else {**serve_phases, **record.phases})
+            self.record_access(fp.hash, record.access)
+
     def record_access(self, fingerprint: str,
                       profile: Optional[dict]) -> None:
         """Fold one query's access profile into an existing entry.
@@ -211,8 +224,8 @@ class StatementStats:
         adds the memory observatory's view (reads-per-value surfaces
         from the existing ``reads``/``values`` columns; here land the
         page-locality and pattern aggregates only a profiled run can
-        measure).  Like :meth:`record_phases`, a fingerprint the table
-        no longer holds is silently dropped.
+        measure).  A fingerprint the table no longer holds is silently
+        dropped.
         """
         if not profile:
             return
@@ -228,32 +241,6 @@ class StatementStats:
             if pattern is not None:
                 entry.patterns[pattern] = \
                     entry.patterns.get(pattern, 0) + 1
-
-    def record_phases(self, fingerprint: str,
-                      phases: Optional[dict]) -> None:
-        """Fold extra phase timings into an existing entry.
-
-        No call bump: the session already counted the call with its
-        parse/eval/format phases; the serve layer adds the
-        queue/lock/stream phases it alone can measure through here.  A
-        fingerprint the table no longer holds (evicted between the two
-        records) is silently dropped — the table is a cache of hot
-        shapes, not an audit log.
-        """
-        if not phases:
-            return
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                return
-            for name, ms in phases.items():
-                if name not in PHASES:
-                    continue
-                hist = entry.phases.get(name)
-                if hist is None:
-                    hist = entry.phases[name] = \
-                        Histogram(DEFAULT_MS_BUCKETS)
-                hist.observe(ms)
 
     def _evict_locked(self) -> None:
         """Drop the least-called (then least-recent) entry."""

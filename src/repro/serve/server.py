@@ -419,7 +419,6 @@ class DuelServer:
         self.sessions = SessionManager(
             program, session_kwargs=session_kwargs,
             metrics=metrics, qlog=qlog, recorder=recorder,
-            statements=statements,
             session_factory=session_factory,
             journal=self.store.journal if self.store else None,
             commit_writes=commit_writes,
@@ -428,6 +427,8 @@ class DuelServer:
         self.qlog = qlog
         #: Fleet statement statistics (:class:`~repro.obs.statements.
         #: StatementStats`) — None keeps the single-predicate off path.
+        #: Fed here, one row per served query with the queue/lock/
+        #: stream phases added, not by the client sessions.
         self.statements = statements
         #: Request-trace exporter (:class:`~repro.obs.reqtrace.
         #: TraceLog`) — None disables span collection entirely.
@@ -1366,7 +1367,7 @@ class DuelServer:
     def _op_stats(self, conn: _Connection, frame: dict) -> None:
         client = conn.client
         conn.send({"ev": "stats", "id": frame["id"],
-                   "query": dict(client.session.last_query_stats),
+                   "query": dict(client.last_stats),
                    "client": {"queries": client.queries,
                               "inflight": client.inflight,
                               "generation": client.generation},
@@ -1452,17 +1453,14 @@ class DuelServer:
         # diluted 1-in-N exactly like the export volume.
         engine_traced = pending.profile or (
             self.tracelog is not None and pending.sampled)
-        session = pending.client.session
-        prior_tracing = session.tracing
-        if engine_traced:
-            session.tracing = True
-        session.current_trace_id = pending.trace_id
         stream_ms = 0.0
         batch: list[str] = []
         batch_bytes = 0
         values = 0
         request_id = pending.request_id
         outcome_frame = None
+        record = None
+        interrupted = None
 
         def send_values(batch: list) -> bool:
             nonlocal stream_ms
@@ -1481,38 +1479,49 @@ class DuelServer:
                 on_lock=(None if trace is None else
                          lambda kind, ms: trace.span("session_lock", ms,
                                                      mode=kind)),
-                access=pending.access)
+                access=pending.access, trace=engine_traced,
+                trace_id=pending.trace_id)
             with pending.lock:
                 pending.interruptible = True
-            for kind, payload in events:
-                if kind == "value":
-                    values += 1
-                    if pending.access:
-                        # The accesses op answers with the locality
-                        # profile; the values themselves stay home.
-                        continue
-                    batch.append(payload)
-                    batch_bytes += len(payload)
-                    if pending.idem is not None:
-                        pending.idem_note(payload)
-                    if len(batch) >= protocol.CHUNK \
-                            or batch_bytes >= protocol.CHUNK_BYTES:
-                        if not send_values(batch):
-                            # Peer is gone: stop driving promptly.
-                            pending.cancel("client disconnected")
-                        batch = []
-                        batch_bytes = 0
-                else:
-                    outcome_frame = protocol.terminal(request_id, kind,
-                                                      payload)
-        except DuelCancelled as cancel:
-            # The watchdog's async raise lands here when it interrupts
-            # the loop body itself (between generator resumptions).
-            outcome_frame = protocol.terminal(
-                request_id, "cancelled",
-                {"values": values,
-                 "kind": getattr(cancel, "kind", None) or "cancel",
-                 "diagnostic": cancel.diagnostic(values)})
+            while True:
+                try:
+                    for kind, payload in events:
+                        if kind != "value":
+                            record = payload["record"]
+                            outcome_frame = protocol.terminal(
+                                request_id, kind, payload)
+                            continue
+                        values += 1
+                        if pending.access:
+                            # The accesses op answers with the locality
+                            # profile; the values themselves stay home.
+                            continue
+                        batch.append(payload)
+                        batch_bytes += len(payload)
+                        if pending.idem is not None:
+                            pending.idem_note(payload)
+                        if len(batch) >= protocol.CHUNK \
+                                or batch_bytes >= protocol.CHUNK_BYTES:
+                            if not send_values(batch):
+                                # Peer is gone: stop driving promptly.
+                                pending.cancel("client disconnected")
+                            batch = []
+                            batch_bytes = 0
+                    break
+                except DuelCancelled as cancel:
+                    # The watchdog's async raise landed here, between
+                    # generator resumptions.  Its token is tripped, so
+                    # resuming ends the drive as an ordinary cancelled
+                    # query (one terminal, one record); a drive the
+                    # raise already unwound has nothing left to yield.
+                    interrupted = cancel
+            if outcome_frame is None and interrupted is not None:
+                outcome_frame = protocol.terminal(
+                    request_id, "cancelled",
+                    {"values": values,
+                     "kind": getattr(interrupted, "kind", None)
+                     or "cancel",
+                     "diagnostic": interrupted.diagnostic(values)})
         except DuelError as error:
             # Escaped the drive (e.g. the session was poisoned between
             # admission and pickup): a faulted query, not a server bug.
@@ -1529,10 +1538,9 @@ class DuelServer:
         finally:
             with pending.lock:
                 pending.interruptible = False
-            session.current_trace_id = None
-            if engine_traced:
-                session.tracing = prior_tracing
             first = conn.finish_pending(pending)
+            if record is not None:
+                pending.client.last_stats = record.stats
             if first:
                 try:
                     if batch:
@@ -1545,7 +1553,7 @@ class DuelServer:
                                       "without a terminal event"})
                     outcome_frame["trace"] = pending.trace_id
                     if trace is not None:
-                        self._finish_observe(pending, trace, session,
+                        self._finish_observe(pending, trace, record,
                                              stream_ms, outcome_frame)
                     # Count and report *before* sending: a fast client
                     # must never observe its terminal frame while the
@@ -1562,52 +1570,58 @@ class DuelServer:
                 except Exception:         # a reply we cannot frame must
                     self.protocol_errors += 1     # not kill the worker
                     self._count("serve_protocol_errors_total")
-            elif pending.idem is not None:
-                # The watchdog already answered; our result is suspect.
-                pending.client.idem_abandon(pending.idem)
+            else:
+                if self.statements is not None and record is not None:
+                    # The watchdog answered for a lost worker that has
+                    # since finished: its query still counts once.
+                    self.statements.observe(record)
+                if pending.idem is not None:
+                    # The watchdog already answered; our result is
+                    # suspect.
+                    pending.client.idem_abandon(pending.idem)
             self._gauge_sync()
 
     def _finish_observe(self, pending: _Pending, trace: RequestTrace,
-                        session, stream_ms: float,
+                        record, stream_ms: float,
                         outcome_frame: dict) -> None:
         """Close out one traced request: spans, statements, slow log.
 
-        Runs on the driving worker after the terminal frame is built
-        and before it is sent; every failure here is contained by the
-        caller's catch-all (observability must never cost a reply).
+        Everything comes from the session's
+        :class:`~repro.core.session.QueryRecord` (None when the drive
+        never reached its terminal event).  Runs on the driving worker
+        after the terminal frame is built and before it is sent; every
+        failure here is contained by the caller's catch-all
+        (observability must never cost a reply).
         """
-        phases = dict(session.last_query_phases or {})
-        if "parse" in phases:
+        phases = record.phases if record is not None else {}
+        if phases:
             trace.span("parse", phases["parse"])
-        drive_ms = phases.get("eval", 0.0) + phases.get("format", 0.0)
-        if "eval" in phases or "format" in phases:
-            trace.span("drive", drive_ms,
-                       eval=round(phases.get("eval", 0.0), 3),
-                       format=round(phases.get("format", 0.0), 3))
+            trace.span("drive", phases["eval"] + phases["format"],
+                       eval=round(phases["eval"], 3),
+                       format=round(phases["format"], 3))
         trace.span("stream", stream_ms)
         trace.outcome = outcome_frame["ev"]
-        fp = session.last_fingerprint
+        fp = record.fingerprint if record is not None else None
         if fp is not None:
             trace.fingerprint = fp.hash
             outcome_frame["fingerprint"] = fp.hash
-        if pending.profile or (self.tracelog is not None
-                               and pending.sampled):
-            engine_trace = getattr(session, "last_trace", None)
-            if engine_trace is not None:
-                trace.engine_spans = [span.as_dict()
-                                      for span in engine_trace.spans]
+        if record is not None and record.tracer is not None and (
+                pending.profile or (self.tracelog is not None
+                                    and pending.sampled)):
+            trace.engine_spans = [span.as_dict()
+                                  for span in record.tracer.spans]
         if pending.profile:
             outcome_frame["profile"] = {
                 "trace_id": trace.trace_id,
                 "spans": list(trace.spans),
                 "engine_spans": list(trace.engine_spans),
             }
-        if self.statements is not None and fp is not None:
+        if self.statements is not None and record is not None:
             serve_phases = trace.phase_ms()
-            self.statements.record_phases(
-                fp.hash, {name: serve_phases[name]
-                          for name in ("queue", "lock", "stream")
-                          if name in serve_phases})
+            self.statements.observe(record, {
+                name: serve_phases[name]
+                for name in ("queue", "lock", "stream")
+                if name in serve_phases})
         total_ms = trace.total_ms()
         slow = self.slow_ms is not None and total_ms >= self.slow_ms
         if slow:

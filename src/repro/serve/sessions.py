@@ -166,6 +166,8 @@ class ClientSession:
         #: Alias-defining query texts, in definition order (bounded;
         #: recovery re-drives these to rebuild the alias namespace).
         self.alias_texts: list[str] = []
+        #: Stats of this client's latest served query (``stats`` op).
+        self.last_stats: dict = {}
         self._idem_lock = threading.Lock()
         self._idem: OrderedDict[str, object] = OrderedDict()
 
@@ -315,26 +317,26 @@ class SessionManager:
 
     ``session_factory`` builds one :class:`DuelSession` per client
     (the default attaches a fresh :class:`SimulatorBackend` to the
-    shared program with ``session_kwargs``); ``qlog``, ``recorder``
-    and ``metrics`` — when given — are shared by every session, which
-    is exactly why those subsystems are lock-guarded.
+    shared program with ``session_kwargs``); ``qlog``, ``recorder``,
+    ``accesslog`` and ``metrics`` — when given — are sinks shared by
+    every session, which is exactly why those subsystems are
+    lock-guarded.
     """
 
     #: Most sessions parked for resume at once (oldest evicted).
     PARK_MAX = 64
 
     def __init__(self, program, *, session_kwargs: Optional[dict] = None,
-                 metrics=None, qlog=None, recorder=None, statements=None,
+                 metrics=None, qlog=None, recorder=None,
                  session_factory: Optional[Callable[[], DuelSession]] = None,
                  journal=None, commit_writes: bool = False,
                  accesslog=None):
         self.program = program
         self._session_kwargs = dict(session_kwargs or {})
         self._metrics = metrics
-        self._qlog = qlog
-        self._recorder = recorder
-        self._statements = statements
-        self._accesslog = accesslog
+        #: Session attribute name -> shared sink (None = not shared).
+        self._sinks = {"qlog": qlog, "recorder": recorder,
+                       "accesslog": accesslog}
         self._session_factory = session_factory
         #: The write-ahead :class:`~repro.serve.journal.Journal` (None
         #: when running without ``--state-dir``): session lifecycle,
@@ -356,7 +358,8 @@ class SessionManager:
         self._lease_lock = threading.Lock()
 
     # -- session lifecycle -------------------------------------------------
-    def _make_session(self) -> DuelSession:
+    def _make_session(self, audited: bool = True) -> DuelSession:
+        """A fresh client session; ``audited`` attaches the shared sinks."""
         if self._session_factory is not None:
             session = self._session_factory()
         else:
@@ -364,15 +367,14 @@ class SessionManager:
             if self._metrics is not None:
                 kwargs.setdefault("metrics", self._metrics)
             session = DuelSession(SimulatorBackend(self.program), **kwargs)
-        if self._qlog is not None:
-            session.qlog = self._qlog
-        if self._recorder is not None:
-            session.recorder = self._recorder
-        if self._statements is not None:
-            session.statements = self._statements
-        if self._accesslog is not None:
-            session.accesslog = self._accesslog
+        if audited:
+            self._attach_sinks(session)
         return session
+
+    def _attach_sinks(self, session: DuelSession) -> None:
+        for name, sink in self._sinks.items():
+            if sink is not None:
+                setattr(session, name, sink)
 
     def page_cache_policy(self):
         """The page-cache policy sessions are built with (or None).
@@ -531,22 +533,18 @@ class SessionManager:
 
         Recovery-only: builds a fresh :class:`ClientSession` under the
         *original* resume key with limits and idempotency cache
-        restored, and — crucially — with the query log detached, so
+        restored, and — crucially — with no shared sink attached, so
         the replay drives recovery performs are never audited as new
         queries (the exactly-once qlog invariant spans the restart).
-        The caller replays aliases/writes, then re-attaches auditing
-        via :meth:`finish_resurrect` and parks via
+        The caller replays aliases/writes, then attaches the sinks via
+        :meth:`finish_resurrect` and parks via
         :meth:`adopt_parked`.  Nothing here journals: the records that
         described this session are still in the journal (or covered
         by the checkpoint) until the next checkpoint supersedes them.
         """
         client = ClientSession(entry["client_id"] or "recovered",
-                               self._make_session(),
+                               self._make_session(audited=False),
                                resume_key=entry["key"])
-        client.session.qlog = None
-        client.session.recorder = None
-        client.session.statements = None
-        client.session.accesslog = None
         governor = client.session.governor
         for name, value in (entry.get("limits") or {}).items():
             try:
@@ -558,15 +556,8 @@ class SessionManager:
         return client
 
     def finish_resurrect(self, client: ClientSession) -> None:
-        """Re-attach shared auditing after recovery replay is done."""
-        if self._qlog is not None:
-            client.session.qlog = self._qlog
-        if self._recorder is not None:
-            client.session.recorder = self._recorder
-        if self._statements is not None:
-            client.session.statements = self._statements
-        if self._accesslog is not None:
-            client.session.accesslog = self._accesslog
+        """Attach the shared sinks once recovery replay is done."""
+        self._attach_sinks(client.session)
 
     def adopt_parked(self, client: ClientSession, ttl: float) -> bool:
         """Insert a resurrected session directly into the parked table.
@@ -627,9 +618,8 @@ class SessionManager:
             return False
         return _has_side_effects(node)
 
-    def run(self, client: ClientSession, text: str,
-            on_begin=None, on_lock=None,
-            access: bool = False) -> Iterator[tuple]:
+    def run(self, client: ClientSession, text: str, on_lock=None,
+            **drive) -> Iterator[tuple]:
         """Drive one query with isolation; yields ``ievents`` events.
 
         Read-only queries share the target under the read lock;
@@ -646,9 +636,8 @@ class SessionManager:
         holds its locks (and, for writes, its isolation snapshot) with
         ``kind`` ``"read"``/``"write"`` and the milliseconds spent
         acquiring — the serve layer's ``session_lock`` span source.
-        ``access=True`` forces the memory-access tracer on for this
-        query (the ``accesses`` wire op), independent of the shared
-        access log's sampling coin.
+        ``drive`` passes through to :meth:`DuelSession.ievents`
+        (``on_begin``, ``access``, ``trace``, ``trace_id``).
         """
         if client.poisoned:
             from repro.core.errors import DuelTargetError
@@ -676,9 +665,7 @@ class SessionManager:
             self._register(lease)
             terminal = None
             try:
-                for event in client.session.ievents(text,
-                                                    on_begin=on_begin,
-                                                    access=access):
+                for event in client.session.ievents(text, **drive):
                     if event[0] != "value":
                         terminal = event[0]
                     yield event

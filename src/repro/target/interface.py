@@ -184,8 +184,9 @@ class TracingBackend:
     :class:`~repro.obs.trace.QueryTracer` is attached, lands on the
     AST node currently being pulled.  With tracing off the per-read
     cost is one increment and one predicate check; the bound inner
-    methods are resolved once at construction to keep the
-    ``__getattr__`` delegation hop off the read/write hot path.
+    methods are resolved ahead of time (at construction, and by the
+    evaluator's chain builder) to keep the ``__getattr__`` delegation
+    hop off the read/write hot path.
     """
 
     def __init__(self, inner, tracer=None):
@@ -243,10 +244,10 @@ class AccessTracingBackend:
     addresses it sees are exactly the ones the evaluator asked for,
     whatever engine drives the query.  Same hot-path discipline as its
     neighbours, taken one step further: with no tracer attached the
-    evaluator splices this hop out of the read/write path entirely
-    (:meth:`~repro.core.eval.Evaluator.set_access_tracer` repoints the
-    outer counter's bound methods), so direct use costs one predicate
-    and the shipped stack costs nothing.  The tracer is an
+    evaluator's chain builder
+    (:meth:`~repro.core.eval.Evaluator.link_chain`) leaves this hop
+    out of the read/write path entirely, so direct use costs one
+    predicate and the shipped stack costs nothing.  The tracer is an
     :class:`~repro.obs.access.AccessTracer` (anything with an
     ``on_access(op, address, size)`` method works).
     """

@@ -389,6 +389,75 @@ class TestWatchdogHardCancel:
             server.stop()
 
 
+    def test_hard_cancelled_query_counted_once_in_statements(self):
+        from repro.obs.statements import StatementStats
+        switch = {"armed": False}
+        program = workloads.big_array(ARRAY)
+        statements = StatementStats()
+        server = DuelServer(
+            program, workers=2, queue_depth=8, per_client=1,
+            metrics=MetricsRegistry(), statements=statements,
+            drain_timeout=10.0, heartbeat_interval=0.5,
+            heartbeat_timeout=60.0, watchdog_tick=0.05,
+            watchdog_grace=60.0,
+            session_factory=lambda: DuelSession(
+                WedgedBackend(program, switch)))
+        server.start()
+        try:
+            client = DuelClient(port=server.port, client="wedge",
+                                timeout=30.0,
+                                retry=RetryPolicy(retries=0))
+            client.limits("deadline_ms", 500)
+            switch["armed"] = True
+            result = client.duel("x[..5]")
+            assert result.outcome == "cancelled", result.outcome
+            assert server.hard_cancels == 1
+            (row,) = statements.snapshot()
+            assert row["calls"] == 1
+            client.close()
+        finally:
+            server.stop()
+
+    def test_cancel_landing_between_resumptions_is_one_query(
+            self, monkeypatch):
+        """The async raise can land in the worker's own loop, between
+        two generator resumptions: the drive resumes, meets its
+        tripped token, and ends as one cancelled query — one terminal
+        frame, one statements call."""
+        from repro.core.errors import DuelCancelled
+        from repro.obs.statements import StatementStats
+        from repro.serve import protocol
+        statements = StatementStats()
+        server = DuelServer(workloads.big_array(ARRAY), workers=1,
+                            metrics=MetricsRegistry(),
+                            statements=statements, drain_timeout=10.0)
+        server.start()
+        try:
+            client = DuelClient(port=server.port, client="landing",
+                                timeout=30.0,
+                                retry=RetryPolicy(retries=0))
+            served = server.sessions.get(client.welcome["client"])
+            value_frame = protocol.value_frame
+
+            def landing(*args, **kwargs):
+                # What the watchdog does: trip the token, then raise.
+                monkeypatch.setattr(protocol, "value_frame", value_frame)
+                served.token.trip("watchdog deadline")
+                raise DuelCancelled("watchdog deadline")
+
+            monkeypatch.setattr(protocol, "value_frame", landing)
+            result = client.duel(f"x[..{ARRAY}]")
+            assert result.outcome == "cancelled", result.outcome
+            assert result.kind == "cancel"
+            (row,) = statements.snapshot()
+            assert row["calls"] == 1
+            follow_up = client.duel("x[..3]")
+            assert follow_up.outcome == "done"
+            client.close()
+        finally:
+            server.stop()
+
+
 class FlakyBackend(SimulatorBackend):
     """Target allocations fault while the switch is on.
 

@@ -74,7 +74,7 @@ def test_cache_report_reaches_the_accesses_surface():
 def test_per_query_stats_split_logical_and_physical():
     session = make_session(page_cache="demand")
     session.duel(f"x[..{ARRAY}] !=? 0", out=io.StringIO())
-    stats = session.last_query_stats
+    stats = session.last_query.stats
     assert stats["reads"] > stats["physical_reads"] > 0
     assert stats["cache_hits"] + stats["cache_misses"] == stats["reads"]
     # Statements aggregate both totals per fingerprint.

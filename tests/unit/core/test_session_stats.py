@@ -14,7 +14,7 @@ import pytest
 
 def run(session, text):
     session.duel(text, out=io.StringIO())
-    return dict(session.last_query_stats)
+    return dict(session.last_query.stats)
 
 
 def strip_wall(stats):
@@ -47,12 +47,12 @@ class TestPerQueryStatsReset:
     def test_compile_error_clears_stale_stats(self, session):
         run(session, "x[..10] >? 5")
         session.duel("x[..", out=io.StringIO())
-        assert session.last_query_stats == {}
+        assert session.last_query.stats == {}
 
     def test_explain_and_duel_report_same_work(self, session):
         explained = None
         session.explain("x[..10] >? 5", out=io.StringIO())
-        explained = dict(session.last_query_stats)
+        explained = dict(session.last_query.stats)
         plain = run(session, "x[..10] >? 5")
         for key in ("steps", "lines", "reads", "writes", "calls"):
             assert explained[key] == plain[key]

@@ -367,7 +367,7 @@ class TestSessionAccesses:
     def test_untraced_queries_pay_no_tracer(self):
         session = array_session()
         session.duel("x[..8]", out=io.StringIO())
-        assert session.last_access is None
+        assert session.last_query.access is None
         assert session.evaluator.backend.tracer is None
 
     def test_accesslog_sampling_drives_export(self):

@@ -1,9 +1,16 @@
 """EXPLAIN profiles: render_profile and DuelSession.explain."""
 
 import io
+import json
 
+from repro.bench import workloads
+from repro.core.session import DuelSession
+from repro.obs.access import AccessLog
 from repro.obs.explain import profile_footer, render_profile
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import QueryTracer
+from repro.target.interface import SimulatorBackend
 
 
 def explain_lines(session, text):
@@ -90,7 +97,7 @@ class TestSessionExplain:
 
     def test_explain_fills_last_query_stats(self, session):
         explain_lines(session, "x[..10] >? 5")
-        stats = session.last_query_stats
+        stats = session.last_query.stats
         assert stats["reads"] > 0
         assert stats["steps"] > 0
 
@@ -100,3 +107,21 @@ class TestSessionExplain:
         out = io.StringIO()
         session.duel("x[3]", out=out)
         assert out.getvalue().strip() == "x[3] = 0"
+
+    def test_explain_feeds_the_sinks_like_duel(self):
+        """``explain`` is ``duel`` traced: the flight recorder gets an
+        entry with the same keys (event tail included), and the
+        access log's sampling coin is taken, once per command."""
+        session = DuelSession(SimulatorBackend(workloads.big_array(100)),
+                              metrics=MetricsRegistry())
+        session.recorder = FlightRecorder()
+        exported = io.StringIO()
+        session.accesslog = AccessLog(exported, sample=1)
+        session.duel("x[..10] >? 5", out=io.StringIO())
+        explain_lines(session, "x[..10] >? 5")
+        duel_entry, explain_entry = session.recorder.last(2)
+        assert set(explain_entry) == set(duel_entry)
+        assert explain_entry["events"]
+        records = [json.loads(line)
+                   for line in exported.getvalue().splitlines()]
+        assert [r["text"] for r in records] == ["x[..10] >? 5"] * 2

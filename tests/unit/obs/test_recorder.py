@@ -170,7 +170,7 @@ class TestSessionAutoDump:
         session = array_session()
         assert session.recorder is None
         self.run_queries(session, "x[0]")
-        assert session.last_trace is None      # no implied tracer
+        assert session.last_query.tracer is None      # no implied tracer
 
 
 class TestPinnedRecords:

@@ -61,23 +61,6 @@ class TestAggregation:
         assert set(row["phases"]) == {"parse", "eval"}
         assert row["phases"]["eval"]["sum"] == pytest.approx(2.0)
 
-    def test_record_phases_merges_without_call_bump(self):
-        stats = StatementStats()
-        stats.record("aa", "t", outcome="done", phases={"parse": 1.0})
-        stats.record_phases("aa", {"queue": 3.0, "lock": 0.5,
-                                   "nonsense": 1.0})
-        (row,) = stats.snapshot()
-        assert row["calls"] == 1
-        assert set(row["phases"]) == {"parse", "queue", "lock"}
-
-    def test_record_phases_on_evicted_fingerprint_is_silent(self):
-        stats = StatementStats(capacity=1)
-        stats.record("aa", "a", outcome="done")
-        stats.record("bb", "b", outcome="done")   # evicts aa
-        stats.record_phases("aa", {"queue": 1.0})  # no raise, no entry
-        rows = stats.snapshot()
-        assert [r["fingerprint"] for r in rows] == ["bb"]
-
 
 class TestBounds:
     def test_capacity_is_enforced(self):

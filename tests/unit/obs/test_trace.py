@@ -215,15 +215,15 @@ class TestSessionTracing:
         session.tracing = True
         out = io.StringIO()
         session.duel("x[..10] >? 5", out=out)
-        assert session.last_trace is not None
-        assert session.last_trace.spans[0].yields == 3
-        events = session.last_trace.events()
+        assert session.last_query.tracer is not None
+        assert session.last_query.tracer.spans[0].yields == 3
+        events = session.last_query.tracer.events()
         assert events and events[0] == ("pull", 0)
 
     def test_trace_off_records_nothing(self, session):
         out = io.StringIO()
         session.duel("x[..10] >? 5", out=out)
-        assert session.last_trace is None
+        assert session.last_query.tracer is None
         assert session.evaluator.tracer is None
 
     def test_tracer_detached_after_query(self, session):

@@ -394,3 +394,44 @@ class TestAccessesOp:
             reply = client.read_frame()
         assert reply["ev"] == "error"
         assert "text" in reply["error"]
+
+
+class TestServedQueryRecord:
+    """The server builds its span tree, slow log and statements row
+    from the finished query's record, never from session state."""
+
+    @pytest.fixture
+    def stat_server(self):
+        from repro.obs.statements import StatementStats
+        booted = DuelServer(workloads.big_array(2000), workers=2,
+                            metrics=MetricsRegistry(),
+                            statements=StatementStats(), slow_ms=50,
+                            drain_timeout=5.0)
+        booted.start()
+        yield booted
+        booted.stop()
+
+    def test_rejected_request_reports_no_previous_work(self, stat_server):
+        with connect(stat_server) as client:
+            scan = client.duel("x[..2000] >=? 0", profile=True)
+            assert scan.ok
+            slow_before = stat_server.slow_query_count
+            bad = client.duel("x[[[", profile=True)
+        assert bad.outcome == "error"
+        names = {span["name"] for span in bad.profile["spans"]}
+        assert "parse" not in names and "drive" not in names
+        assert bad.profile["engine_spans"] == []
+        assert stat_server.slow_query_count == slow_before
+
+    def test_statements_row_carries_session_and_serve_phases(
+            self, stat_server):
+        with connect(stat_server) as client:
+            client.duel("x[..10]")
+            client.duel("x[..5]")
+            reply = client.statements()
+        (row,) = reply["rows"]
+        assert row["calls"] == 2
+        assert set(row["phases"]) == {"queue", "lock", "parse", "eval",
+                                      "format", "stream"}
+        for phase in row["phases"].values():
+            assert phase["count"] == 2
