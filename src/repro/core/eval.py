@@ -17,7 +17,7 @@ node's values lazily; the top-level "drive" loop lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.ctype.declparse import DeclParser, TypeEnv
 from repro.ctype.types import (
@@ -314,8 +314,10 @@ class Evaluator:
         off costs the read/write hot path nothing: with no tracer and
         no cache the tracing hop calls the target's own bound
         ``get_target_bytes`` (resolved through the governed hop's
-        delegation at bind time).  Rebinding costs a few attribute
-        stores, paid only when the configuration changes.
+        delegation at bind time).  ``is_mapped``, asked on every index
+        bounds check and ``-->`` step and metered by no hop, is bound
+        on every hop straight to the target's.  Rebinding costs a few
+        attribute stores, paid only when the configuration changes.
         """
         hops = [self.backend]
         if self.access_backend.tracer is not None:
@@ -326,6 +328,9 @@ class Evaluator:
         for hop, below in zip(hops, hops[1:]):
             hop._inner_get = below.get_target_bytes
             hop._inner_put = below.put_target_bytes
+        is_mapped = self.governed_backend.inner.is_mapped
+        for hop in hops:
+            hop.is_mapped = is_mapped
 
     def eval(self, node: N.Node) -> Iterator[DuelValue]:
         """All values of ``node``, lazily (the paper's ``eval``)."""
@@ -426,9 +431,11 @@ class Evaluator:
     def _eval_binary(self, node: N.Binary):
         # The paper's PLUS/MINUS/... case: all combinations of operand
         # values, one apply per pair.
+        binary = self.apply.binary
+        right = self._operand(node.right)
         for u in self.eval(node.left):
-            for v in self.eval(node.right):
-                yield self.apply.binary(node.operator, u, v)
+            for v in right():
+                yield binary(node.operator, u, v)
 
     def _eval_assign(self, node: N.Assign):
         for u in self.eval(node.left):
@@ -443,10 +450,41 @@ class Evaluator:
 
     def _eval_compare_yield(self, node: N.CompareYield):
         # Paper IFGT...: yields the *left* operand when the test holds.
+        compare_true = self.apply.compare_true
+        right = self._operand(node.right)
         for u in self.eval(node.left):
-            for v in self.eval(node.right):
-                if self.apply.compare_true(node.operator, u, v):
+            for v in right():
+                if compare_true(node.operator, u, v):
                     yield u
+
+    def _operand(self, node: N.Node) -> Callable[[], Iterable[DuelValue]]:
+        """Drive ``node`` afresh on each call: a right operand is
+        re-evaluated for every value of the left one.
+
+        An untraced operand made only of constants and the C operators
+        over them has one value that cannot change, so it is driven on
+        the first call only.  A later call adds what that drive charged
+        the governor (steps and symbolic nodes) in one go and returns
+        the value again, or drives afresh when a checkpoint or limit
+        lies within that run, so stats, budgets, truncation points and
+        checkpoints stay where re-driving puts them.  A traced drive
+        re-drives, so per-node pulls and spans stay as they are.
+        """
+        if self.tracer is not None or not _is_constant(node):
+            return lambda: self.eval(node)
+        governor = self.governor
+        values: list[DuelValue] = []
+        run = None  # (steps, symnodes) that one drive charges
+
+        def drive():
+            nonlocal run
+            if run is not None and governor.add_run(*run):
+                return values
+            steps, symnodes = governor.steps, governor.symnodes
+            values[:] = self.eval(node)
+            run = (governor.steps - steps, governor.symnodes - symnodes)
+            return values
+        return drive
 
     # ==================================================================
     # generators proper
@@ -902,6 +940,22 @@ _NO_SYM = SymText("?")
 def _drain(it: Iterator) -> None:
     for _ in it:
         pass
+
+
+#: Unary operators that compute from their operand's value alone.
+_VALUE_UNARY = frozenset("-+!~")
+
+
+def _is_constant(node: N.Node) -> bool:
+    """Whether ``node`` is made only of constants and the unary and
+    binary C operators over them: one value that cannot change."""
+    if isinstance(node, N.Constant):
+        return True
+    if isinstance(node, N.Unary):
+        return node.operator in _VALUE_UNARY and _is_constant(node.kid)
+    if isinstance(node, N.Binary):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return False
 
 
 def _guard_constant(node: N.Node):

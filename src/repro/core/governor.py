@@ -250,6 +250,18 @@ class ResourceGovernor:
         if n > self._max_symnodes:
             self._exhaust("symnodes")
 
+    def add_run(self, steps: int, symnodes: int) -> bool:
+        """Charge a run of steps and symbolic nodes in one go, if no
+        threshold (a checkpoint, the step limit, the symbolic-node
+        limit) lies within it; else charge nothing and return False,
+        and the caller makes the charges one at a time."""
+        if (self.steps + steps < self._next_check
+                and self.symnodes + symnodes <= self._max_symnodes):
+            self.steps += steps
+            self.symnodes += symnodes
+            return True
+        return False
+
     def charge(self, name: str, amount: int = 1) -> None:
         """Charge ``amount`` against the named quota."""
         attr = _COUNTERS[name]

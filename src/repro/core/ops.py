@@ -10,11 +10,16 @@ over :class:`~repro.core.values.DuelValue`.
 
 Type checking happens here, at evaluation time, as the paper requires
 for expressions like ``(x,y).a`` where x and y may have different
-struct types.
+struct types.  It happens once per operand-type pair, not once per
+value: the first time an operator meets a pair of operand types, the
+generic code below checks and converts as C requires and leaves a
+*plan* — a closure with the pair's conversions, wrap width or stride
+already decided — that later values of the same pair go straight to.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from repro.ctype.convert import (
@@ -22,7 +27,7 @@ from repro.ctype.convert import (
     usual_arithmetic_conversions,
     integer_promote,
 )
-from repro.ctype.kinds import Kind, wrap_int
+from repro.ctype.kinds import Kind, int_wrapper, wrap_int
 from repro.ctype.types import (
     ArrayType,
     CType,
@@ -63,7 +68,9 @@ BINARY_PREC = {
     "&": PREC_BITAND, "^": PREC_BITXOR, "|": PREC_BITOR,
 }
 
-_COMPARISONS = {"<", ">", "<=", ">=", "==", "!="}
+_TESTS = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
+          ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_COMPARISONS = set(_TESTS)
 _INT_ONLY = {"%", "<<", ">>", "&", "^", "|"}
 
 
@@ -72,6 +79,11 @@ class Apply:
 
     def __init__(self, ops: ValueOps):
         self.ops = ops
+        #: Plans by (operator, left ctype, right ctype) of the loaded
+        #: operands, the operator spelt ``"[]"`` for indexing and
+        #: ``">?"``-style for :meth:`compare_true`; built by the generic
+        #: code the first time a pair gets through its checks.
+        self._plans: dict = {}
 
     # ==================================================================
     # binary operators
@@ -83,6 +95,9 @@ class Apply:
             sym = SymBinary(op, a.sym, b.sym, BINARY_PREC.get(op, PREC_ADDITIVE))
         ra = self.ops.load_value(a)
         rb = self.ops.load_value(b)
+        plan = self._plans.get((op, ra.ctype, rb.ctype))
+        if plan is not None:
+            return plan(ra.value, rb.value, sym)
         ta = ra.ctype.strip_typedefs()
         tb = rb.ctype.strip_typedefs()
         if op in _COMPARISONS:
@@ -113,77 +128,66 @@ class Apply:
         stripped = common.strip_typedefs()
         if op in _INT_ONLY and stripped.is_float:
             raise DuelTypeError(f"floating operand to {op!r}", sym.render())
-        x = convert_value(ra.value, ta, common)
-        y = convert_value(rb.value, tb, common)
-        if op in ("/", "%") and not stripped.is_float and y == 0:
-            raise DuelTypeError("division by zero", sym.render())
-        if op == "+":
-            result = x + y
-        elif op == "-":
-            result = x - y
-        elif op == "*":
-            result = x * y
-        elif op == "/":
-            if stripped.is_float:
-                result = x / y
-            else:
-                result = _c_div(x, y)
-        elif op == "%":
-            result = _c_mod(x, y)
-        elif op == "<<":
-            result = x << (y & 63)
-        elif op == ">>":
-            result = x >> (y & 63)
-        elif op == "&":
-            result = x & y
-        elif op == "^":
-            result = x ^ y
-        elif op == "|":
-            result = x | y
-        else:  # pragma: no cover - parser prevents unknown ops
-            raise DuelTypeError(f"unknown binary operator {op!r}", sym.render())
-        if not stripped.is_float:
-            result = wrap_int(int(result), _kind_of(stripped))
-        return rvalue(common, result, sym)
+        if stripped.is_float:
+            return rvalue(common, _FLOAT_ARITH[op](
+                convert_value(ra.value, ta, common),
+                convert_value(rb.value, tb, common)), sym)
+        plan = self._plans[(op, ta, tb)] = _int_arith(op, common)
+        return plan(ra.value, rb.value, sym)
 
     def _compare(self, op: str, ra: DuelValue, rb: DuelValue,
                  sym: Sym) -> DuelValue:
-        x, y = self._comparable_pair(op, ra, rb, sym)
-        result = {
-            "<": x < y, ">": x > y, "<=": x <= y,
-            ">=": x >= y, "==": x == y, "!=": x != y,
-        }[op]
-        return rvalue(INT, int(result), sym)
+        test, keep = self._comparison(op, ra, rb, lambda: sym)
 
-    def _comparable_pair(self, op: str, ra: DuelValue, rb: DuelValue,
-                         sym: Sym):
+        def plan(x, y, sym):
+            return DuelValue(INT, sym, int(test(x, y)))
+        if keep:
+            self._plans[(op, ra.ctype, rb.ctype)] = plan
+        return plan(ra.value, rb.value, sym)
+
+    def _comparison(self, op: str, ra: DuelValue, rb: DuelValue, sym_of):
+        """``(test, keep)``: the test of ``ra op rb`` on two raw values
+        with the C conversions decided, and whether it may serve every
+        later value of this pair as its plan (not for a floating pair,
+        which is compared generically on each value).
+
+        A bad pair raises here, its message built by ``sym_of()``.
+        """
         ta = ra.ctype.strip_typedefs()
         tb = rb.ctype.strip_typedefs()
+        cmp = _TESTS[op]
         if isinstance(ta, PointerType) or isinstance(tb, PointerType):
             ok_a = isinstance(ta, PointerType) or ta.is_integer
             ok_b = isinstance(tb, PointerType) or tb.is_integer
             if not (ok_a and ok_b):
                 raise DuelTypeError(
-                    f"invalid pointer comparison with {op!r}", sym.render())
-            return int(ra.value), int(rb.value)
+                    f"invalid pointer comparison with {op!r}",
+                    sym_of().render())
+            return (lambda x, y: cmp(int(x), int(y))), True
         if not (ta.is_arithmetic and tb.is_arithmetic):
             raise DuelTypeError(
-                f"non-arithmetic operands to {op!r}", sym.render())
-        common = usual_arithmetic_conversions(ra.ctype, rb.ctype)
-        return (convert_value(ra.value, ra.ctype, common),
-                convert_value(rb.value, rb.ctype, common))
+                f"non-arithmetic operands to {op!r}", sym_of().render())
+        ca, cb = ra.ctype, rb.ctype
+        common = usual_arithmetic_conversions(ca, cb)
+        if common.is_float:
+            return (lambda x, y: cmp(convert_value(x, ca, common),
+                                     convert_value(y, cb, common))), False
+        return _int_test(cmp, common.kind), True
 
     def compare_true(self, op: str, a: DuelValue, b: DuelValue) -> bool:
         """The raw truth of ``a op b`` (used by ``>?`` and friends)."""
         ra = self.ops.load_value(a)
         rb = self.ops.load_value(b)
-        sym = SymBinary(op, a.sym, b.sym, PREC_RELATIONAL)
-        x, y = self._comparable_pair(op.rstrip("?"), ra, rb, sym)
         base = op.rstrip("?")
-        return {
-            "<": x < y, ">": x > y, "<=": x <= y,
-            ">=": x >= y, "==": x == y, "!=": x != y,
-        }[base]
+        key = (base + "?", ra.ctype, rb.ctype)
+        test = self._plans.get(key)
+        if test is None:
+            test, keep = self._comparison(
+                base, ra, rb,
+                lambda: SymBinary(op, a.sym, b.sym, PREC_RELATIONAL))
+            if keep:
+                self._plans[key] = test
+        return test(ra.value, rb.value)
 
     # -- pointer arithmetic ------------------------------------------------
     def _pointer_add(self, ptr: DuelValue, delta: int, sym: Sym) -> DuelValue:
@@ -252,7 +256,8 @@ class Apply:
         stripped = r.ctype.strip_typedefs()
         if isinstance(stripped, PointerType):
             address = int(r.value)
-            self._check_pointer(address, stripped.target, v, pattern)
+            self._check_pointer(address, _checked_size(stripped.target), v,
+                                pattern)
             return lvalue(stripped.target, address, sym)
         if isinstance(stripped, ArrayType):
             return lvalue(stripped.element, v.address, sym)
@@ -287,13 +292,29 @@ class Apply:
             sym = SymIndex(base.sym, index.sym)
         rb = self.ops.load_value(base)
         ri = self.ops.load_value(index)
+        key = ("[]", rb.ctype, ri.ctype)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._index_plan(base, rb, ri, sym)
+        swap, element, stride, size = plan
+        if swap:
+            rb, ri = ri, rb
+        address = int(rb.value) + int(ri.value) * stride
+        self._check_pointer(address, size, base, "x[y]")
+        return DuelValue(element, sym, None, address)
+
+    def _index_plan(self, base: DuelValue, rb: DuelValue, ri: DuelValue,
+                    sym: Sym) -> tuple:
+        """``(swap, element, stride, checked size)`` for indexing a
+        loaded ``rb`` by a loaded ``ri``; raises on a bad pair."""
         tb = rb.ctype.strip_typedefs()
+        swap = False
         if not ri.ctype.is_integer:
             # C allows i[p]; normalise.
             if isinstance(ri.ctype.strip_typedefs(), PointerType) and \
                     rb.ctype.is_integer:
-                rb, ri = ri, rb
-                tb = rb.ctype.strip_typedefs()
+                swap = True
+                tb = ri.ctype.strip_typedefs()
             else:
                 raise DuelTypeError("array index is not an integer",
                                     sym.render())
@@ -302,10 +323,7 @@ class Apply:
                 f"indexed value is not array or pointer ({base.ctype.name()})",
                 sym.render())
         element = tb.target
-        stride = self._stride(tb, sym)
-        address = int(rb.value) + int(ri.value) * stride
-        self._check_pointer(address, element, base, "x[y]")
-        return lvalue(element, address, sym)
+        return swap, element, self._stride(tb, sym), _checked_size(element)
 
     def field(self, base: DuelValue, name: str, arrow: bool,
               sym: Sym) -> DuelValue:
@@ -382,16 +400,41 @@ class Apply:
     # ==================================================================
     # helpers
     # ==================================================================
-    def _check_pointer(self, address: int, target: CType, origin: DuelValue,
+    def _check_pointer(self, address: int, size: int, origin: DuelValue,
                        pattern: str) -> None:
-        """Fault early, with the paper's error format, on bad pointers."""
-        try:
-            size = max(target.strip_typedefs().size, 1)
-        except TypeError:
-            size = 1
+        """Fault early, with the paper's error format, on bad pointers
+        (``size``: the bytes that must be mapped there)."""
         if address == 0 or not self.ops.backend.is_mapped(address, size):
             raise DuelMemoryError(
                 "x", pattern, origin.sym.render(), f"lvalue {address:#x}")
+
+
+def _checked_size(target: CType) -> int:
+    """Bytes that must be mapped behind a pointer to ``target``."""
+    try:
+        return max(target.strip_typedefs().size, 1)
+    except TypeError:
+        return 1
+
+
+def _int_test(cmp, kind: Kind):
+    """The plan of a comparison converting both operands to ``kind``."""
+    wrap = int_wrapper(kind)
+    return lambda x, y: cmp(wrap(x), wrap(y))
+
+
+def _int_arith(op: str, common: PrimitiveType):
+    """The plan of ``op`` on two operands of integer type ``common``."""
+    fn = _INT_ARITH[op]
+    wrap = int_wrapper(common.kind)
+    divides = op in ("/", "%")
+
+    def plan(x, y, sym):
+        x, y = wrap(x), wrap(y)
+        if divides and y == 0:
+            raise DuelTypeError("division by zero", sym.render())
+        return DuelValue(common, sym, wrap(fn(x, y)))
+    return plan
 
 
 def _c_div(x: int, y: int) -> int:
@@ -403,6 +446,16 @@ def _c_div(x: int, y: int) -> int:
 def _c_mod(x: int, y: int) -> int:
     """C remainder: (x/y)*y + x%y == x."""
     return x - _c_div(x, y) * y
+
+
+_INT_ARITH = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": _c_mod,
+    "<<": lambda x, y: x << (y & 63), ">>": lambda x, y: x >> (y & 63),
+    "&": operator.and_, "^": operator.xor, "|": operator.or_,
+}
+_FLOAT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                "/": operator.truediv}
 
 
 def _kind_of(stripped: CType) -> Kind:

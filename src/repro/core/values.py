@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.ctype.encode import decode_value, encode_value, extract_bitfield, insert_bitfield
+from repro.ctype.encode import (
+    decode_value, encode_value, extract_bitfield, insert_bitfield, int_layout)
+from repro.ctype.kinds import BYTE_ORDER
 from repro.ctype.types import (
     ArrayType,
     BitFieldType,
@@ -28,7 +30,7 @@ from repro.core.errors import DuelError, DuelMemoryError, DuelTypeError
 from repro.core.symbolic import Sym, SymText
 
 
-@dataclass
+@dataclass(slots=True)
 class DuelValue:
     """One value flowing through the evaluator: type + actual + symbolic."""
 
@@ -64,12 +66,12 @@ class DuelValue:
 
 def rvalue(ctype: CType, value, sym: Sym) -> DuelValue:
     """Construct a plain rvalue."""
-    return DuelValue(ctype=ctype, sym=sym, value=value)
+    return DuelValue(ctype, sym, value)
 
 
 def lvalue(ctype: CType, address: int, sym: Sym) -> DuelValue:
     """Construct an lvalue designating target storage."""
-    return DuelValue(ctype=ctype, sym=sym, address=address)
+    return DuelValue(ctype, sym, None, address)
 
 
 def int_value(value: int, sym: Optional[Sym] = None,
@@ -87,12 +89,18 @@ class ValueOps:
 
     def __init__(self, backend):
         self.backend = backend
+        #: ctype -> its :func:`~repro.ctype.encode.int_layout` (None: the
+        #: generic codec), looked up the first time a value of it loads.
+        self._layouts: dict = {}
 
     # -- loading ---------------------------------------------------------
     def load(self, v: DuelValue) -> object:
         """The current contents of ``v`` (reads the target for lvalues)."""
-        if not v.is_lvalue:
+        if v.address is None:
             return v.value
+        layout = self._layout(v)
+        if layout is not None:
+            return self._load_int(v, layout)
         stripped = v.ctype.strip_typedefs()
         if isinstance(stripped, ArrayType):
             # Arrays decay: the "value" of an array lvalue is its address.
@@ -111,18 +119,38 @@ class ValueOps:
 
     def load_value(self, v: DuelValue) -> DuelValue:
         """An rvalue copy of ``v`` with contents loaded (arrays decay)."""
-        stripped = v.ctype.strip_typedefs()
-        if v.is_lvalue and isinstance(stripped, ArrayType):
-            return rvalue(stripped.decay(), v.address, v.sym)
-        if v.is_lvalue and isinstance(stripped, RecordType):
-            return v  # records stay addressed; ops treat them specially
-        if not v.is_lvalue:
+        if v.address is None:
             return v
+        layout = self._layout(v)
+        if layout is not None:
+            return DuelValue(v.ctype, v.sym, self._load_int(v, layout))
+        stripped = v.ctype.strip_typedefs()
+        if isinstance(stripped, ArrayType):
+            return DuelValue(stripped.decay(), v.sym, v.address)
+        if isinstance(stripped, RecordType):
+            return v  # records stay addressed; ops treat them specially
         loaded = self.load(v)
         ctype = v.ctype
         if isinstance(stripped, BitFieldType):
             ctype = stripped.base
         return rvalue(ctype, loaded, v.sym)
+
+    def _layout(self, v: DuelValue):
+        """``v``'s integer load layout, or None for the generic codec."""
+        if v.bit_width is not None:
+            return None
+        try:
+            return self._layouts[v.ctype]
+        except KeyError:
+            layout = self._layouts[v.ctype] = int_layout(v.ctype)
+            return layout
+
+    def _load_int(self, v: DuelValue, layout) -> int:
+        size, signed = layout
+        raw = self._read(v, v.address, size)
+        if len(raw) != size:  # a short read: the codec reports it
+            return decode_value(raw, v.ctype)
+        return int.from_bytes(raw, BYTE_ORDER, signed=signed)
 
     # -- storing -----------------------------------------------------------
     def store(self, dest: DuelValue, value) -> None:

@@ -54,15 +54,30 @@ def encode_value(value, ctype: CType) -> bytes:
     return wrapped.to_bytes(info.size, BYTE_ORDER, signed=info.signed)
 
 
-def decode_value(data: bytes, ctype: CType):
-    """Decode target bytes into a Python number for ``ctype``."""
+def int_layout(ctype: CType):
+    """``(size, signed)`` when ``ctype``'s bytes decode as one integer
+    in :data:`BYTE_ORDER` — pointers unsigned, enums signed, the
+    integer kinds but ``_Bool`` (normalised to 0/1) by their
+    signedness — else None."""
     t = ctype.strip_typedefs()
     if isinstance(t, PointerType):
-        _require(data, t.size, ctype)
-        return int.from_bytes(data[:t.size], BYTE_ORDER, signed=False)
+        return t.size, False
     if isinstance(t, EnumType):
-        _require(data, t.size, ctype)
-        return int.from_bytes(data[:t.size], BYTE_ORDER, signed=True)
+        return t.size, True
+    if (isinstance(t, PrimitiveType) and t.is_integer
+            and t.kind is not Kind.BOOL):
+        return t.size, t.signed
+    return None
+
+
+def decode_value(data: bytes, ctype: CType):
+    """Decode target bytes into a Python number for ``ctype``."""
+    layout = int_layout(ctype)
+    if layout is not None:
+        size, signed = layout
+        _require(data, size, ctype)
+        return int.from_bytes(data[:size], BYTE_ORDER, signed=signed)
+    t = ctype.strip_typedefs()
     if not isinstance(t, PrimitiveType):
         raise EncodeError(f"cannot decode scalar from {ctype}")
     info = PRIMITIVES[t.kind]
@@ -74,9 +89,7 @@ def decode_value(data: bytes, ctype: CType):
         if fmt is None:
             return struct.unpack("<d", data[:8])[0]
         return struct.unpack(fmt, data[:info.size])[0]
-    if t.kind is Kind.BOOL:
-        return 1 if data[0] else 0
-    return int.from_bytes(data[:info.size], BYTE_ORDER, signed=info.signed)
+    return 1 if data[0] else 0  # _Bool
 
 
 def extract_bitfield(unit: int, bit_offset: int, width: int, signed: bool) -> int:

@@ -40,6 +40,12 @@ class Kind(enum.Enum):
     TYPEDEF = "typedef"
     BITFIELD = "bitfield"
 
+    # Members are singletons compared by identity, and nothing persists
+    # a Python hash of one (fingerprints use sha256), so hash by
+    # identity too: Enum's own name-based __hash__ is a Python-level
+    # call on every dict and frozenset lookup keyed by a kind.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Kind.{self.name}"
 
@@ -138,3 +144,20 @@ def wrap_int(value: int, kind: Kind, catalogue: dict[Kind, PrimitiveInfo] | None
     if info.signed and value >= 1 << (bits - 1):
         value -= 1 << bits
     return value
+
+
+def int_wrapper(kind: Kind):
+    """``lambda value: wrap_int(int(value), kind)`` with the width
+    decided now, for code that converts many values to one kind.
+
+    Over the kind's inclusive bounds the wrap is
+    ``((v - lo) & mask) + lo``; a value already in range, the usual
+    case, is returned after one chained comparison.
+    """
+    lo, hi = int_bounds(kind)
+    mask = hi - lo
+
+    def wrap(value) -> int:
+        value = int(value)
+        return value if lo <= value <= hi else ((value - lo) & mask) + lo
+    return wrap

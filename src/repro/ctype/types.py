@@ -213,8 +213,16 @@ class ArrayType(CType):
         return f"{self.element.name()} [{n}]"
 
     def decay(self) -> PointerType:
-        """Array-to-pointer decay type."""
-        return PointerType(self.element)
+        """Array-to-pointer decay type.
+
+        Built on first use and kept on the instance (outside the
+        dataclass fields, so equality and hashing are unchanged): a
+        scan over an array decays it once per element.
+        """
+        decayed = self.__dict__.get("_decayed")
+        if decayed is None:
+            decayed = self.__dict__["_decayed"] = PointerType(self.element)
+        return decayed
 
 
 @dataclass(frozen=True)

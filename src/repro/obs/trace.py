@@ -13,7 +13,10 @@ only cost is one predicate check per node activation in
 ``Evaluator.eval`` / ``StateMachineEvaluator.eval`` and one per target
 read in ``TracingBackend`` (bench-verified ≤5% on the P3 workload by
 ``benchmarks/bench_trace.py``).  With tracing *on*, every pull pays
-two ``perf_counter_ns`` calls and a stack push/pop.
+two ``perf_counter_ns`` calls, a stack push/pop and a list append: the
+tracer hands its events to the sink in order, in batches of
+:data:`EMIT_BATCH` and at :meth:`QueryTracer.finish`, so a locking
+sink takes its lock once per batch, not twice per value.
 
 Both evaluation engines funnel through the same :class:`QueryTracer`:
 the generator engine wraps each node's iterator
@@ -45,6 +48,9 @@ from time import perf_counter_ns
 from typing import Iterator, Optional
 
 from repro.core import nodes as N
+
+#: Events a tracer holds before handing them to its sink.
+EMIT_BATCH = 1024
 
 
 class NodeSpan:
@@ -94,6 +100,11 @@ class TraceSink:
     def emit(self, kind: str, index: int) -> None:
         """One ``pull``/``yield`` event for node ``index``."""
 
+    def emit_many(self, events: list) -> None:
+        """A run of ``(kind, index)`` events, in order."""
+        for kind, index in events:
+            self.emit(kind, index)
+
     def end_query(self, spans: list) -> None:
         """The query finished; ``spans`` hold the final aggregates."""
 
@@ -134,6 +145,14 @@ class RingBufferSink(TraceSink):
             if len(self.events) == self.capacity:
                 self.dropped += 1
             self.events.append((kind, index))
+
+    def emit_many(self, events: list) -> None:
+        with self._lock:
+            # Each event past capacity displaces exactly one.
+            overflow = len(self.events) + len(events) - self.capacity
+            if overflow > 0:
+                self.dropped += overflow
+            self.events.extend(events)
 
     def snapshot(self) -> list[tuple[str, int]]:
         """A consistent copy of the buffered events."""
@@ -216,19 +235,22 @@ class QueryTracer:
     Life cycle: :meth:`begin` walks the AST assigning preorder indices
     and fresh spans; the engines then report pulls/yields through
     :meth:`wrap` (generator engine) or :meth:`enter`/``exit_*`` (state
-    machine); :meth:`finish` flushes span aggregates to the sink.
-    Target traffic lands on the innermost active span via
-    :meth:`on_read`/:meth:`on_write`/:meth:`on_call`, fed by
+    machine); :meth:`finish` hands the sink the last events and the
+    span aggregates.  Target traffic lands on the innermost active span
+    via :meth:`on_read`/:meth:`on_write`/:meth:`on_call`, fed by
     :class:`~repro.target.interface.TracingBackend`.
     """
 
-    __slots__ = ("sink", "spans", "_by_id", "_stack", "query_text")
+    __slots__ = ("sink", "spans", "_by_id", "_stack", "_events",
+                 "query_text")
 
     def __init__(self, sink: Optional[TraceSink] = None):
         self.sink = sink
         self.spans: list[NodeSpan] = []
         self._by_id: dict[int, NodeSpan] = {}
         self._stack: list[NodeSpan] = []
+        #: Events not yet handed to the sink (None without a sink).
+        self._events: Optional[list] = None
         self.query_text = ""
 
     # -- life cycle --------------------------------------------------------
@@ -240,6 +262,7 @@ class QueryTracer:
         self._stack = []
         self._register_tree(root, 0)
         if self.sink is not None:
+            self._events = []
             self.sink.begin_query(text, self.spans)
 
     def _register_tree(self, node: N.Node, depth: int) -> None:
@@ -250,9 +273,20 @@ class QueryTracer:
             self._register_tree(kid, depth + 1)
 
     def finish(self) -> None:
-        """Flush the final span aggregates to the sink."""
+        """Flush the last events and the final span aggregates to the
+        sink."""
         if self.sink is not None:
+            self._emit()
             self.sink.end_query(self.spans)
+
+    def _emit(self) -> None:
+        """Hand the held events to the sink."""
+        events = self._events
+        if events:
+            try:
+                self.sink.emit_many(events)
+            finally:
+                events.clear()
 
     def span_for(self, node: N.Node) -> NodeSpan:
         """The node's span (registering stragglers deterministically)."""
@@ -272,13 +306,13 @@ class QueryTracer:
     def wrap(self, node: N.Node, it: Iterator) -> Iterator:
         """Meter one activation of ``node``'s value iterator."""
         span = self.span_for(node)
-        sink = self.sink
+        events = self._events
+        pulled, yielded = ("pull", span.index), ("yield", span.index)
         stack = self._stack
-        index = span.index
         while True:
             span.pulls += 1
-            if sink is not None:
-                sink.emit("pull", index)
+            if events is not None:
+                events.append(pulled)
             stack.append(span)
             t0 = perf_counter_ns()
             try:
@@ -294,8 +328,10 @@ class QueryTracer:
             span.time_ns += perf_counter_ns() - t0
             stack.pop()
             span.yields += 1
-            if sink is not None:
-                sink.emit("yield", index)
+            if events is not None:
+                events.append(yielded)
+                if len(events) >= EMIT_BATCH:
+                    self._emit()
             yield value
 
     # -- state-machine engine ----------------------------------------------
@@ -303,8 +339,8 @@ class QueryTracer:
         """One eval call (= one pull) of ``node`` is starting."""
         span = self.span_for(node)
         span.pulls += 1
-        if self.sink is not None:
-            self.sink.emit("pull", span.index)
+        if self._events is not None:
+            self._events.append(("pull", span.index))
         self._stack.append(span)
         return span, perf_counter_ns()
 
@@ -313,8 +349,11 @@ class QueryTracer:
         span.time_ns += perf_counter_ns() - t0
         self._stack.pop()
         span.yields += 1
-        if self.sink is not None:
-            self.sink.emit("yield", span.index)
+        events = self._events
+        if events is not None:
+            events.append(("yield", span.index))
+            if len(events) >= EMIT_BATCH:
+                self._emit()
 
     def exit_end(self, span: NodeSpan, t0: int) -> None:
         """The eval call returned NOVALUE (sequence exhausted)."""
@@ -346,6 +385,7 @@ class QueryTracer:
     def events(self) -> list[tuple[str, int]]:
         """The recorded event sequence (ring-buffer sinks only)."""
         if isinstance(self.sink, RingBufferSink):
+            self._emit()
             return self.sink.snapshot()
         return []
 

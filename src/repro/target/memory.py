@@ -38,19 +38,22 @@ class TargetMemoryFault(Exception):
 
 
 class Region:
-    """One contiguous mapped range of the target address space."""
+    """One contiguous mapped range of the target address space.
 
-    __slots__ = ("name", "base", "size", "data")
+    ``written`` is the high-water mark of writes: every byte at or
+    past ``data[written]`` has never been written and is still zero,
+    so a snapshot need copy only ``data[:written]``.
+    """
+
+    __slots__ = ("name", "base", "size", "end", "data", "written")
 
     def __init__(self, name: str, base: int, size: int):
         self.name = name
         self.base = base
         self.size = size
+        self.end = base + size
         self.data = bytearray(size)
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
+        self.written = 0
 
     def contains(self, address: int, size: int = 1) -> bool:
         return self.base <= address and address + size <= self.end
@@ -166,5 +169,8 @@ class Memory:
             return
         region = self._locate(address, len(data), "write")
         offset = address - region.base
-        region.data[offset:offset + len(data)] = data
+        end = offset + len(data)
+        region.data[offset:end] = data
+        if end > region.written:
+            region.written = end
         self.epoch += 1

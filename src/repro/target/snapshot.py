@@ -113,10 +113,15 @@ class Snapshot:
 
 
 def take(program: TargetProgram) -> Snapshot:
-    """Capture ``program``'s full state."""
+    """Capture ``program``'s full state.
+
+    Each region is copied only up to its write high-water mark: the
+    bytes past it were never written, so they are zero, and a fresh
+    region restores them for free.
+    """
     types = program.types
     return Snapshot(
-        regions=[(r.name, r.base, r.size, bytes(r.data))
+        regions=[(r.name, r.base, r.size, bytes(r.data[:r.written]))
                  for r in program.memory.regions],
         heap=program.heap.copy_state(),
         stack=program.stack.copy_state(),
@@ -139,12 +144,15 @@ def restore(program: TargetProgram, snapshot: Snapshot) -> None:
     """Rewind ``program`` to a previously taken :class:`Snapshot`."""
     memory = program.memory
     # Rebuild the region map exactly (an unmapped region comes back,
-    # a newly mapped one goes away), then the contents.
+    # a newly mapped one goes away), then the contents: the copied
+    # prefix goes into the fresh zeroed region and becomes its mark
+    # (a full-length copy, as older snapshots hold, restores as well).
     for region in list(memory.regions):
         memory.unmap(region.name)
     for name, base, size, data in snapshot.regions:
         region = memory.map_new(name, base, size)
-        region.data[:] = data
+        region.data[:len(data)] = data
+        region.written = len(data)
     program.heap.restore_state(snapshot.heap)
     program.stack.restore_state(snapshot.stack)
     program.globals.restore_state(snapshot.globals)

@@ -1,5 +1,7 @@
 """Unit tests for the primitive catalogue (kinds.py)."""
 
+import pickle
+
 import pytest
 
 from repro.ctype.kinds import (
@@ -8,6 +10,7 @@ from repro.ctype.kinds import (
     PRIMITIVES,
     PRIMITIVES_ILP32,
     int_bounds,
+    int_wrapper,
     wrap_int,
 )
 
@@ -45,6 +48,12 @@ class TestCatalogue:
                 < PRIMITIVES[Kind.LONG].rank
                 < PRIMITIVES[Kind.LLONG].rank
                 < PRIMITIVES[Kind.FLOAT].rank)
+
+    def test_kinds_hash_by_identity(self):
+        assert Kind.__hash__ is object.__hash__
+        restored = pickle.loads(pickle.dumps({Kind.INT: "int"}))
+        assert restored[Kind.INT] == "int"
+        assert Kind.INT in INTEGER_KINDS and Kind.DOUBLE not in INTEGER_KINDS
 
     def test_integer_kinds_excludes_floats_and_void(self):
         assert Kind.INT in INTEGER_KINDS
@@ -86,3 +95,13 @@ class TestWrap:
         assert wrap_int(255, Kind.CHAR) == -1
         assert wrap_int(255, Kind.UCHAR) == 255
         assert wrap_int(256, Kind.UCHAR) == 0
+
+    @pytest.mark.parametrize("kind", sorted(INTEGER_KINDS - {Kind.BOOL},
+                                            key=lambda k: k.value))
+    def test_wrapper_is_wrap_int_decided_once(self, kind):
+        lo, hi = int_bounds(kind)
+        wrap = int_wrapper(kind)
+        for value in (0, 1, -1, lo, hi, lo - 1, hi + 1, 2 * hi + 3,
+                      -3 * (hi + 1), 7.9, -7.9, True):
+            assert wrap(value) == wrap_int(int(value), kind), value
+

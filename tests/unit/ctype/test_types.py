@@ -46,6 +46,11 @@ class TestClassification:
         assert a.size == 40
         assert a.decay() == PointerType(INT)
 
+    def test_decay_is_built_once_and_leaves_equality_alone(self):
+        a = array_of(INT, 10)
+        assert a.decay() is a.decay()
+        assert a == array_of(INT, 10) and hash(a) == hash(array_of(INT, 10))
+
     def test_incomplete_array_size_raises(self):
         with pytest.raises(TypeError):
             _ = array_of(INT, None).size

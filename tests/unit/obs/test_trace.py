@@ -7,7 +7,7 @@ import pytest
 
 from repro import DuelSession, SimulatorBackend
 from repro.core.statemachine import StateMachineEvaluator
-from repro.obs.trace import (JsonlSink, NodeSpan, QueryTracer,
+from repro.obs.trace import (EMIT_BATCH, JsonlSink, NodeSpan, QueryTracer,
                              RingBufferSink, TraceSink, node_label)
 
 
@@ -117,6 +117,35 @@ class TestRingBufferSink:
             sink.emit("pull", index)
         assert sink.dropped == 1
         assert list(sink.events) == [("pull", i) for i in range(1, 5)]
+
+    def test_emit_many_accounts_like_one_emit_at_a_time(self):
+        one, many = RingBufferSink(capacity=4), RingBufferSink(capacity=4)
+        events = [("pull", i) for i in range(10)]
+        for kind, index in events:
+            one.emit(kind, index)
+        many.emit_many(events[:3])
+        many.emit_many(events[3:])
+        assert list(many.events) == list(one.events)
+        assert many.dropped == one.dropped == 6
+
+    def test_batched_events_arrive_whole_and_in_order(self, session):
+        """Several batches' worth of events: the sink gets every one,
+        in order (the state machine's brackets give the same stream),
+        and a small ring keeps the last of them and counts the rest."""
+        text = "(1..1500) + 1"
+        _node, tracer, _values = trace_generator(session, text,
+                                                 RingBufferSink())
+        total = sum(s.pulls + s.yields for s in tracer.spans)
+        assert total > 3 * EMIT_BATCH
+        events = tracer.events()
+        assert len(events) == total and events[0] == ("pull", 0)
+        _node, machine, _values = trace_machine(session, text,
+                                                RingBufferSink())
+        assert machine.events() == events
+        ring = RingBufferSink(capacity=100)
+        _node, tracer, _values = trace_generator(session, text, ring)
+        assert tracer.events() == events[-100:]
+        assert ring.dropped == total - 100
 
     def test_base_sink_drops_everything(self, session):
         node, tracer, values = trace_generator(session, "(1..3)",

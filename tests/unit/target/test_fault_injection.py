@@ -210,3 +210,38 @@ def test_session_survives_fault_storm():
         assert "Illegal memory reference" in out.getvalue()
     # Schedule exhausted; full fidelity returns.
     assert session.eval_values("x[..10]") == X
+
+
+# -- is_mapped is bound past the evaluator's backend hops -----------------
+
+def test_bounds_checks_skip_the_hops_delegation(monkeypatch, program):
+    """Index bounds checks and ``-->`` steps ask ``is_mapped`` of the
+    target directly: no hop of the chain resolves it per call."""
+    from repro.target.interface import (AccessTracingBackend,
+                                        GovernedBackend, TracingBackend)
+
+    builder.int_array(program, "x", X)
+    builder.linked_list(program, "head", [11, 42, 5])
+    session = DuelSession(SimulatorBackend(program))
+    looked_up = []
+    for hop in (TracingBackend, AccessTracingBackend, GovernedBackend):
+        def spy(self, name, _original=hop.__getattr__):
+            looked_up.append(name)
+            return _original(self, name)
+        monkeypatch.setattr(hop, "__getattr__", spy)
+
+    assert session.eval_values("x[..10] !=? 0") == [v for v in X if v]
+    assert session.eval_values("head-->next->value") == [11, 42, 5]
+    assert "is_mapped" not in looked_up
+
+
+def test_bounds_check_sees_an_unmap_mid_scan():
+    """The bound ``is_mapped`` is the live target's: after an injected
+    unmap the next index is refused with the paper's error."""
+    program, backend, session = faulty_array_session(
+        unmap_after_reads=2, unmap_region="data")   # x[0]: test, print
+    out = io.StringIO()
+    session.duel("x[..10] !=? 0", out=out)
+    assert out.getvalue().splitlines()[:2] == [
+        "x[0] = 3", "Illegal memory reference in x of x[y]:"]
+    assert backend.injected == [("unmap", "data")]

@@ -180,3 +180,53 @@ def test_session_checkpoint_is_invisible_to_later_queries():
     snap = snapshot.take(program)
     snapshot.restore(program, snap)
     assert session.eval_lines("hash[..1024]->name") == before
+
+
+class TestWrittenPrefix:
+    """Snapshots copy each region only up to its write high-water mark."""
+
+    def test_copies_only_the_written_prefix(self, program):
+        builder.int_array(program, "x", [5, 6, 7])
+        snap = snapshot.take(program)
+        for name, _base, size, data in snap.regions:
+            region = program.memory.region(name)
+            assert len(data) == region.written < size
+            assert data == bytes(region.data[:region.written])
+
+    def test_failed_query_rollback_past_the_mark(self, program):
+        """A committed write past the mark survives a later rollback;
+        a rolled-back write past the new mark reads zero again."""
+        builder.int_array(program, "x", [5, 6, 7])
+        session = DuelSession(SimulatorBackend(program))
+        data = program.memory.region("data")
+        kept = data.base + data.written + 64
+        undone = kept + 4096
+        assert session.eval_values(f"*(int *){kept:#x} = 7") == [7]
+        events = list(session.ievents(
+            f"*(int *){undone:#x} = 9, x[2000000]"))
+        assert events[-1][0] == "faulted"
+        assert session.eval_values(f"*(int *){kept:#x}") == [7]
+        assert session.eval_values(f"*(int *){undone:#x}") == [0]
+        assert program.memory.region("data").written == \
+            kept + 4 - data.base
+
+    def test_full_length_snapshot_restores(self, program):
+        """A payload whose regions are full length, as snapshots held
+        before the mark existed, still restores."""
+        builder.int_array(program, "x", [5, 6, 7])
+        snap = snapshot.take(program)
+        snap.regions = [(name, base, size,
+                         bytes(program.memory.region(name).data))
+                        for name, base, size, _data in snap.regions]
+        blob = snap.serialize()
+        assert blob.startswith(b"DUELSNAP1")
+
+        rebuilt = TestSerializedSnapshots().fresh()
+        snapshot.restore(rebuilt,
+                         snapshot.Snapshot.deserialize(blob, rebuilt))
+        for region in rebuilt.memory.regions:
+            assert region.written == region.size
+        session = DuelSession(SimulatorBackend(rebuilt))
+        assert session.eval_values("x[..3]") == [5, 6, 7]
+        session.eval_lines("x[1] = 42")
+        assert session.eval_values("x[1]") == [42]
