@@ -43,6 +43,7 @@ from repro.core.governor import ResourceGovernor
 from repro.target.interface import (AccessTracingBackend, GovernedBackend,
                                     TracingBackend)
 from repro.target.memory import TargetMemoryFault
+from repro.target.program import TargetRuntimeError
 from repro.core.ops import Apply
 from repro.core.scope import Scope, WithEntry
 from repro.core.symbolic import (
@@ -882,10 +883,11 @@ class Evaluator:
                 target = int(f.value)
         try:
             result = self.backend.call_target_func(target, raw_args)
-        except TargetMemoryFault as fault:
-            # A refused/failed target call is a query error, not a
-            # debugger crash: surface it as a DuelError so sessions
-            # report it (with any partial results) and stay usable.
+        except (TargetMemoryFault, TargetRuntimeError) as fault:
+            # A refused/failed target call — or target code that ran
+            # away or went wrong — is a query error, not a debugger
+            # crash: surface it as a DuelError so sessions roll it
+            # back, report it (with any partial results) and stay usable.
             raise DuelTargetError(
                 f"target call failed: {fault}", fault) from fault
         sym = self._sym(lambda: SymCall(f.sym, tuple(a.sym for a in args)))

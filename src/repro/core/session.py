@@ -72,10 +72,12 @@ class QueryRecord:
         self.outcome = "rejected"
         self.kind = None
         self.values = 0
-        # A record outlives its drive: keep the error, not the drive's
-        # frames (and rollback snapshot) its traceback would pin.
-        self.error = error.with_traceback(None) if error is not None \
-            else None
+        # A record outlives its drive: keep a query error, not the
+        # drive's frames (and rollback snapshot) its traceback would
+        # pin.  Any other exception propagates past the record, and
+        # its traceback is what locates the defect.
+        self.error = error.with_traceback(None) \
+            if isinstance(error, DuelError) else error
         self.stats: dict = {}
         self.phases: dict = {}
         self.access: Optional[dict] = None
@@ -294,7 +296,9 @@ class DuelSession:
             values stand and ``info["diagnostic"]`` holds the one-line
             notice;
             ``("faulted", info)`` — a mid-drive :class:`DuelError`
-            (side effects rolled back, ``info["error"]`` set);
+            (side effects rolled back, ``info["error"]`` set; any
+            other exception is rolled back and recorded as a fault
+            too, then re-raised instead of yielded);
             ``("error", info)`` — the text never compiled
             (``info["error"]`` set, nothing was driven).
 
@@ -355,15 +359,21 @@ class DuelSession:
             failure = truncation
             if truncation.produced is not None:
                 produced = truncation.produced
-        except DuelError as error:
-            failure = error
-            self._restore(checkpoint)
         except GeneratorExit:
             # The consumer abandoned the stream mid-drive (a serve
             # worker unwound, a client vanished): that is a
             # cancellation in the audit trail, never a clean drain.
             failure = DuelCancelled("drive abandoned")
             raise
+        except Exception as error:
+            # Any other exception that ends the drive is a fault: the
+            # side effects roll back and the record says what ended
+            # it.  One that is not a query error (a defect below the
+            # evaluator) still propagates once recorded.
+            failure = error
+            self._restore(checkpoint)
+            if not isinstance(error, DuelError):
+                raise
         finally:
             record = self._publish(self._finish_query(
                 QueryRecord(self, qid, text, node, trace_id, failure),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.target.program import TargetRuntimeError
+
 
 class MiniCError(Exception):
     """Base class for mini-C compile/runtime errors."""
@@ -23,5 +25,5 @@ class MiniCTypeError(MiniCError):
     """Semantic error found while resolving declarations/expressions."""
 
 
-class MiniCRuntimeError(MiniCError):
+class MiniCRuntimeError(MiniCError, TargetRuntimeError):
     """Error raised while executing a mini-C program."""

@@ -57,8 +57,11 @@ class Interpreter:
         self.backend = SimulatorBackend(program)
         self.ops = ValueOps(self.backend)
         self.apply = Apply(self.ops)
+        #: Statement cap for one top-level target call (``main``
+        #: included); nested calls share their caller's count.
         self.max_steps = max_steps
         self._steps = 0
+        self._depth = 0
         self.functions: dict[str, A.FuncDef] = {}
         #: Debugger hook: called as trace(event, payload) around
         #: execution — events "call" (FuncDef), "stmt" (Stmt), "return"
@@ -131,6 +134,9 @@ class Interpreter:
         ftype = func.ctype
         assert isinstance(ftype, FunctionType)
         frame = self.program.stack.push(func.name)
+        if self._depth == 0:
+            self._steps = 0
+        self._depth += 1
         try:
             for name, ptype, raw in zip(func.param_names, ftype.params,
                                         raw_args):
@@ -150,6 +156,7 @@ class Interpreter:
                 return convert_value(loaded.value, loaded.ctype, ftype.result)
             return None
         finally:
+            self._depth -= 1
             if self.trace is not None:
                 self.trace("return", func)
             self.program.stack.pop()

@@ -15,6 +15,7 @@ alignment checking lives in
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 
@@ -40,9 +41,18 @@ class TargetMemoryFault(Exception):
 class Region:
     """One contiguous mapped range of the target address space.
 
+    ``data`` is a private anonymous map, so the region is demand-zero:
+    a page costs memory only once written, and mapping a 32 MB heap
+    costs what mapping 4 KB does.  ``MAP_PRIVATE`` keeps a forked
+    child's writes (and the parent's) from showing through.  Nothing
+    closes the map: an anonymous map holds no file descriptor and is
+    unmapped when its last reference goes, so a reader still holding
+    an unmapped region reads valid (stale) bytes, never a closed map.
+
     ``written`` is the high-water mark of writes: every byte at or
     past ``data[written]`` has never been written and is still zero,
-    so a snapshot need copy only ``data[:written]``.
+    so a snapshot need copy only ``data[:written]``, and a rollback
+    need rewrite only that much.
     """
 
     __slots__ = ("name", "base", "size", "end", "data", "written")
@@ -52,7 +62,7 @@ class Region:
         self.base = base
         self.size = size
         self.end = base + size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.written = 0
 
     def contains(self, address: int, size: int = 1) -> bool:
@@ -67,14 +77,14 @@ class Memory:
 
     ``epoch`` is a monotone counter bumped by every mutation of the
     address space — writes, fresh mappings, unmappings — and by
-    snapshot restore (which rebuilds the region map through
-    ``unmap``/``map_new`` and then advances past the snapshot's own
-    epoch).  Read caches stacked in front of the target key their
-    contents on it: a cached page is valid only while the epoch it
-    was filled under is still current, so any mutation anywhere —
-    a query write, an injected unmap, execution control inside the
-    mini-C interpreter, a rollback — invalidates stale bytes without
-    the mutator knowing which caches exist.
+    snapshot restore (which rewrites region contents in place and then
+    advances past the snapshot's own epoch).  Read caches stacked in
+    front of the target key their contents on it: a cached page is
+    valid only while the epoch it was filled under is still current,
+    so any mutation anywhere — a query write, an injected unmap,
+    execution control inside the mini-C interpreter, a rollback —
+    invalidates stale bytes without the mutator knowing which caches
+    exist.
     """
 
     def __init__(self) -> None:
@@ -161,7 +171,7 @@ class Memory:
         byte of the range is unmapped.  Never mutates state."""
         region = self._locate(address, size, "read")
         offset = address - region.base
-        return bytes(region.data[offset:offset + size])
+        return region.data[offset:offset + size]
 
     def write(self, address: int, data: bytes) -> None:
         """Write ``data``; validated fully before any byte is stored."""

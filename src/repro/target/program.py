@@ -171,6 +171,15 @@ class Stack:
             self._frames.append(frame)
 
 
+class TargetRuntimeError(Exception):
+    """Target code failed while running (a runaway loop, a bad call).
+
+    Whatever executes target function bodies raises a subclass, so the
+    debugger boundary can treat it as a target fault without knowing
+    which interpreter ran the code.
+    """
+
+
 @dataclass
 class TargetFunction:
     """A callable installed in the target's text segment."""

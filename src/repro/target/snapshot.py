@@ -116,12 +116,12 @@ def take(program: TargetProgram) -> Snapshot:
     """Capture ``program``'s full state.
 
     Each region is copied only up to its write high-water mark: the
-    bytes past it were never written, so they are zero, and a fresh
-    region restores them for free.
+    bytes past it were never written, so they are zero, and
+    :func:`restore` need zero only what was written past it since.
     """
     types = program.types
     return Snapshot(
-        regions=[(r.name, r.base, r.size, bytes(r.data[:r.written]))
+        regions=[(r.name, r.base, r.size, r.data[:r.written])
                  for r in program.memory.regions],
         heap=program.heap.copy_state(),
         stack=program.stack.copy_state(),
@@ -143,16 +143,23 @@ def take(program: TargetProgram) -> Snapshot:
 def restore(program: TargetProgram, snapshot: Snapshot) -> None:
     """Rewind ``program`` to a previously taken :class:`Snapshot`."""
     memory = program.memory
-    # Rebuild the region map exactly (an unmapped region comes back,
-    # a newly mapped one goes away), then the contents: the copied
-    # prefix goes into the fresh zeroed region and becomes its mark
-    # (a full-length copy, as older snapshots hold, restores as well).
-    for region in list(memory.regions):
-        memory.unmap(region.name)
-    for name, base, size, data in snapshot.regions:
-        region = memory.map_new(name, base, size)
-        region.data[:len(data)] = data
-        region.written = len(data)
+    # Reconcile the region map (a region unmapped since the take comes
+    # back, one mapped since goes away), then rewrite contents in
+    # place: the copied prefix goes back and becomes the mark, and
+    # only the bytes written past it are zeroed, so a restore costs
+    # what was written, not the size of the address space (a
+    # full-length copy, as older snapshots hold, restores as well).
+    wanted = {(name, base, size) for name, base, size, _ in snapshot.regions}
+    for region in memory.regions:
+        if (region.name, region.base, region.size) not in wanted:
+            memory.unmap(region.name)
+    for name, base, size, prefix in snapshot.regions:
+        region = memory.region(name) or memory.map_new(name, base, size)
+        end = len(prefix)
+        region.data[:end] = prefix
+        if region.written > end:
+            region.data[end:region.written] = bytes(region.written - end)
+        region.written = end
     program.heap.restore_state(snapshot.heap)
     program.stack.restore_state(snapshot.stack)
     program.globals.restore_state(snapshot.globals)
@@ -178,8 +185,9 @@ def restore(program: TargetProgram, snapshot: Snapshot) -> None:
     program._data_next = snapshot.data_next
     program._text_next = snapshot.text_next
     # The epoch is monotone even across rewinds: a restore *changes*
-    # memory relative to what readers may have cached, so it must move
-    # the counter forward — past both the live value and whatever the
+    # memory relative to what readers may have cached (and the in-place
+    # rewrite above bumps nothing itself), so it must move the counter
+    # forward — past both the live value and whatever the
     # snapshot recorded (the latter matters after crash recovery,
     # where the rebuilt program's counter starts near zero but clients
     # of the pre-crash server were at the checkpoint's epoch).

@@ -1,11 +1,14 @@
 """Session robustness: step budgets and the recovering duel command."""
 
 import io
+import json
 
 import pytest
 
 from repro.core.errors import DuelEvalLimit, DuelMemoryError
 from repro.core.session import DuelSession
+from repro.minic import run_program
+from repro.obs.qlog import TERMINAL_EVENTS, QueryLog
 from repro.target import builder
 from repro.target.interface import SimulatorBackend
 from repro.target.program import TargetProgram
@@ -113,3 +116,62 @@ def test_string_cache_invalidated_on_rollback(program):
     # The literal works again once calls stop failing.
     backend._fail_calls = False
     assert session.eval_values('strcmp("duel", "duel")') == [0]
+
+
+# -- target code that runs away or fails below the evaluator -------------
+
+SPIN = ("int g; int spin(int v) { g = 99; while (v) v = v; return 0; } "
+        "int main() { g = 1; return 0; }")
+
+
+def logged_session(program):
+    session = DuelSession(SimulatorBackend(program))
+    buffer = io.StringIO()
+    session.qlog = QueryLog(buffer)
+    return session, buffer
+
+
+def terminal_records(buffer):
+    return [record for record in map(json.loads,
+                                     buffer.getvalue().splitlines())
+            if record["ev"] in TERMINAL_EVENTS]
+
+
+def test_runaway_target_call_faults_and_rolls_back():
+    """A target call past the interpreter's step cap is a target
+    fault: the query ends faulted, its writes roll back, and the
+    record and qlog name the fault."""
+    interp = run_program(SPIN)
+    interp.max_steps = interp._steps + 5000
+    session, buffer = logged_session(interp.program)
+    kind, info = list(session.ievents("spin(1)"))[-1]
+    assert kind == "faulted"
+    assert info["error_type"] == "DuelTargetError"
+    assert "exceeded" in info["error"]
+    record = info["record"]
+    assert record.outcome == "faulted"
+    assert type(record.error).__name__ == "DuelTargetError"
+    assert terminal_records(buffer)[-1]["error_type"] == "DuelTargetError"
+    assert session.eval_values("g") == [1]
+
+
+def test_non_duel_exception_is_recorded_rolled_back_and_reraised(
+        array_session):
+    """An exception that is not a query error still ends the query as
+    a recorded, rolled-back fault before it propagates."""
+    program = array_session.backend.program
+
+    def broken(prog):
+        raise RuntimeError("defect below the evaluator")
+
+    program.define_function("broken", "int broken(void);", broken)
+    session, buffer = logged_session(program)
+    before = session.eval_values("x[0]")
+    with pytest.raises(RuntimeError, match="defect") as raised:
+        list(session.ievents("x[0] = 77, broken()"))
+    assert raised.traceback[-1].name == "broken"
+    record = session.last_query
+    assert record.outcome == "faulted"
+    assert type(record.error) is RuntimeError
+    assert terminal_records(buffer)[-1]["error_type"] == "RuntimeError"
+    assert session.eval_values("x[0]") == before

@@ -193,6 +193,21 @@ class TestArgvAndErrors:
         with pytest.raises(MiniCRuntimeError):
             interp.run_main()
 
+    def test_step_cap_applies_per_top_level_call(self):
+        """The cap bounds each top-level target call, not the total over
+        the interpreter's lifetime: two calls each under it but together
+        over it both succeed, and one call over it still stops."""
+        interp = run("int sq(int n) { int k, s = 0; "
+                     "for (k = 0; k < n; k++) s += n; return s; } "
+                     "int main(void) { return 0; }")
+        interp.max_steps = 1_000
+        assert interp.call("sq", 60) == 3600
+        assert 2 * interp._steps > interp.max_steps
+        assert interp.call("sq", 60) == 3600
+        with pytest.raises(MiniCRuntimeError, match="exceeded 1000 steps"):
+            interp.call("sq", 1000)
+        assert interp.call("sq", 60) == 3600
+
     def test_exit_call(self):
         interp = run("int main(void) { exit(7); return 0; }")
         assert interp.exit_status == 7

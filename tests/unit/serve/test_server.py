@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.bench import workloads
+from repro.minic import run_program
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
 from repro.serve.client import DuelClient, ServeError
@@ -107,6 +108,25 @@ class TestQueries:
             result = client.duel("*(int*)0")
             assert result.outcome == "faulted"
             assert "memory" in result.error.lower()
+
+    def test_runaway_target_call_is_a_faulted_terminal(self):
+        """Target code that runs past its step cap answers ``faulted``
+        (rolled back), not the catch-all ``error``."""
+        interp = run_program(
+            "int g; int spin(int v) { g = 99; while (v) v = v; return 0; }"
+            " int main() { g = 1; return 0; }")
+        interp.max_steps = interp._steps + 5000
+        served = DuelServer(interp.program, workers=1,
+                            metrics=MetricsRegistry(), drain_timeout=5.0)
+        served.start()
+        try:
+            with connect(served) as client:
+                result = client.duel("spin(1)")
+                assert result.outcome == "faulted"
+                assert "exceeded" in result.error
+                assert client.duel("g").lines == ["g = 1"]
+        finally:
+            served.stop()
 
     def test_truncation_ships_partials_and_diagnostic(self, server):
         with connect(server) as client:

@@ -1,12 +1,16 @@
 """Checkpoint/rollback round trips for the simulated inferior."""
 
+import os
+
 import pytest
 
 from repro.core.session import DuelSession
 from repro.debugger import Debugger
 from repro.debugger.debugger import StopKind
 from repro.target import builder, snapshot
-from repro.target.interface import SimulatorBackend
+from repro.target.interface import FaultInjectingBackend, SimulatorBackend
+from repro.target.memory import Memory
+from repro.target.pagecache import PageCachePolicy, PageCachingBackend
 from repro.target.program import TargetProgram
 
 # The watchpoints_assertions example scenario: a stack machine whose
@@ -230,3 +234,109 @@ class TestWrittenPrefix:
         assert session.eval_values("x[..3]") == [5, 6, 7]
         session.eval_lines("x[1] = 42")
         assert session.eval_values("x[1]") == [42]
+
+
+class TestInPlaceRestore:
+    """Restore rewrites regions in place: it costs what was written
+    since the take, and rebuilds only a region map that changed."""
+
+    def test_unchanged_map_keeps_regions_and_rewinds_contents(self,
+                                                              program):
+        builder.int_array(program, "x", [5, 6, 7])
+        memory = program.memory
+        regions = memory.regions
+        data = memory.region("data")
+        mark = data.written
+        prefix = data.data[:mark]
+        snap = snapshot.take(program)
+        memory.write(data.base, b"\xff" * 8)             # in the prefix
+        memory.write(data.base + mark + 100, b"\xee" * 8)  # past it
+        snapshot.restore(program, snap)
+        assert all(now is then
+                   for now, then in zip(memory.regions, regions))
+        assert len(memory.regions) == len(regions)
+        assert data.data[:mark] == prefix
+        assert memory.read(data.base + mark + 100, 8) == bytes(8)
+        assert data.written == mark
+
+    def test_region_unmapped_after_the_take_comes_back(self, program):
+        builder.int_array(program, "x", [5, 6, 7])
+        backend = FaultInjectingBackend(SimulatorBackend(program),
+                                        unmap_after_reads=1,
+                                        unmap_region="data")
+        kind, _info = list(DuelSession(backend).ievents(
+            "x[0] = 9, x[..3]"))[-1]
+        assert backend.injected == [("unmap", "data")]
+        assert kind == "faulted"
+        assert program.memory.region("data") is not None
+        session = DuelSession(SimulatorBackend(program))
+        assert session.eval_values("x[..3]") == [5, 6, 7]
+
+    def test_region_mapped_after_the_take_goes_away(self, program):
+        snap = snapshot.take(program)
+        program.memory.map_new("scratch", 0x40000000, 4096)
+        snapshot.restore(program, snap)
+        assert program.memory.region("scratch") is None
+        assert not program.memory.is_mapped(0x40000000)
+
+    def test_restore_into_rebuilt_program_zeroes_its_own_writes(
+            self, program):
+        """Crash recovery: the rebuilt program has run and written past
+        the checkpoint's prefix; those bytes read zero after restore."""
+        builder.int_array(program, "x", [5, 6, 7])
+        blob = snapshot.take(program).serialize()
+        mark = program.memory.region("data").written
+
+        rebuilt = TestSerializedSnapshots().fresh()
+        builder.int_array(rebuilt, "x", [1, 2, 3])
+        builder.int_array(rebuilt, "y", list(range(1, 65)))
+        data = rebuilt.memory.region("data")
+        stray = data.base + data.written - 4
+        assert data.written > mark
+        assert rebuilt.memory.read(stray, 4) != bytes(4)
+        snapshot.restore(rebuilt,
+                         snapshot.Snapshot.deserialize(blob, rebuilt))
+        assert rebuilt.memory.read(stray, 4) == bytes(4)
+        assert data.written == mark
+        session = DuelSession(SimulatorBackend(rebuilt))
+        assert session.eval_values("x[..3]") == [5, 6, 7]
+
+    def test_page_cache_misses_after_restore(self, program):
+        builder.int_array(program, "x", [5, 6, 7])
+        address = program.lookup("x").address
+        cache = PageCachingBackend(SimulatorBackend(program),
+                                   PageCachePolicy(mode="demand"),
+                                   lambda: program.memory.epoch)
+        snap = snapshot.take(program)
+        program.memory.write(address, (9).to_bytes(4, "little"))
+        assert cache.get_target_bytes(address, 4) == \
+            (9).to_bytes(4, "little")
+        assert cache.get_target_bytes(address, 4) == \
+            (9).to_bytes(4, "little")
+        misses = cache.misses
+        snapshot.restore(program, snap)
+        assert cache.get_target_bytes(address, 4) == \
+            (5).to_bytes(4, "little")
+        assert cache.misses == misses + 1
+
+
+def _vm_rss_kb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    pytest.skip("no VmRSS line in /proc/self/status")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_fresh_region_is_demand_zero():
+    """Mapping a region costs resident memory only for what is
+    written: 4 KB written into a fresh 64 MB region stays far below
+    the region's size."""
+    memory = Memory()
+    before = _vm_rss_kb()
+    memory.map_new("big", 0x10000000, 64 << 20)
+    memory.write(0x10000000 + (32 << 20), b"\x01" * 4096)
+    assert _vm_rss_kb() - before < 16 * 1024
+    assert memory.read(0x10000000, 16) == bytes(16)
