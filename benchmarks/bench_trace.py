@@ -131,19 +131,19 @@ def _pre_obs_duel(session, text, stream):
     from repro.core.session import QueryRecord
     session.governor.begin_query()
     t0 = perf_counter_ns()
-    node = session.compile(text)
+    prepared = session.prepare(text)
     parse_ns = perf_counter_ns() - t0
     session._record(text)
-    tracer = session._attach_tracer(node, text)
-    session._checkpoint_for(node)
+    tracer = session._attach_tracer(prepared.node, text)
+    session._checkpoint_for(prepared)
     session.evaluator.reset()
     baseline = session._stats_baseline()
     drive_t0 = perf_counter_ns()
     try:
-        for line in session._lines(node):
+        for line in session._lines(prepared):
             stream.write(line + "\n")
     finally:
-        session._finish_query(QueryRecord(session, None, text, node),
+        session._finish_query(QueryRecord(session, None, text, prepared),
                               tracer, None, baseline, parse_ns,
                               perf_counter_ns() - drive_t0)
 

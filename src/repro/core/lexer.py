@@ -18,7 +18,7 @@ Tricky cases handled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional
 
 from repro.core.errors import DuelSyntaxError
@@ -48,15 +48,28 @@ OPERATORS = [
     "(", ")", "[", "]", "{", "}", ",", ";", ":", "?", "@", "#", ".",
 ]
 
+#: The operators that begin with each character, longest first: one
+#: dictionary probe and a few ``startswith`` calls per operator token.
+_OPERATORS_BY_FIRST = {first: tuple(op for op in OPERATORS if op[0] == first)
+                       for first in {op[0] for op in OPERATORS}}
 
-@dataclass(frozen=True)
+#: The rest of a name (its first character is a letter or ``_``).
+_NAME = re.compile(r"\w+")
+
+_OCTAL_DIGITS = "01234567"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
 class Token:
     """One lexical token with its source span (for decl/cast slicing)."""
 
-    kind: str  # "num" | "fnum" | "char" | "string" | "name" | "op" | "eof"
-    text: str
-    start: int
-    end: int
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind = kind  # "num" | "fnum" | "char" | "string" | "name" | "op" | "eof"
+        self.text = text
+        self.start = start
+        self.end = end
 
     def is_op(self, *ops: str) -> bool:
         return self.kind == "op" and self.text in ops
@@ -66,7 +79,7 @@ class Token:
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b",
-            "f": "\f", "v": "\v", "0": "\0", "\\": "\\", "'": "'",
+            "f": "\f", "v": "\v", "\\": "\\", "'": "'",
             '"': '"', "?": "?"}
 
 
@@ -80,33 +93,27 @@ def tokenize(text: str) -> list[Token]:
         if ch in " \t\r\n":
             pos += 1
             continue
-        if text.startswith("##", pos):
-            break  # comment runs to end of line
         start = pos
-        if ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit()):
+        if ch.isdigit() or (ch == "." and text[pos + 1:pos + 2].isdigit()):
             pos, token = _lex_number(text, pos)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(Token("name", text[start:pos], start, pos))
-            continue
-        if ch == "'":
+        elif ch.isalpha() or ch == "_":
+            pos = _NAME.match(text, pos).end()
+            token = Token("name", text[start:pos], start, pos)
+        elif ch == "'":
             pos, token = _lex_char(text, pos)
-            tokens.append(token)
-            continue
-        if ch == '"':
+        elif ch == '"':
             pos, token = _lex_string(text, pos)
-            tokens.append(token)
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, pos):
-                pos += len(op)
-                tokens.append(Token("op", op, start, pos))
-                break
+        elif text.startswith("##", pos):
+            break  # comment runs to end of line
         else:
-            raise DuelSyntaxError(f"bad character {ch!r}", pos, text)
+            for op in _OPERATORS_BY_FIRST.get(ch, ()):
+                if text.startswith(op, pos):
+                    break
+            else:
+                raise DuelSyntaxError(f"bad character {ch!r}", pos, text)
+            pos += len(op)
+            token = Token("op", op, start, pos)
+        tokens.append(token)
     tokens.append(Token("eof", "", n, n))
     return tokens
 
@@ -116,10 +123,8 @@ def _lex_number(text: str, pos: int) -> tuple[int, Token]:
     n = len(text)
     if text.startswith(("0x", "0X"), pos):
         pos += 2
-        while pos < n and (text[pos].isdigit()
-                           or text[pos].lower() in "abcdef"):
+        while pos < n and text[pos] in _HEX_DIGITS:
             pos += 1
-        body = text[start:pos]
         pos = _int_suffix(text, pos)
         return pos, Token("num", text[start:pos], start, pos)
     while pos < n and text[pos].isdigit():
@@ -186,26 +191,37 @@ def _lex_string(text: str, pos: int) -> tuple[int, Token]:
 
 
 def _skip_escape(text: str, pos: int) -> int:
-    pos += 1  # backslash
+    """The end of the escape sequence whose backslash is at ``pos``.
+
+    As in C: ``\\x`` takes every hex digit after it and needs one, an
+    octal escape takes at most three digits 0-7 (``"\\08"`` is NUL then
+    ``8``), and any other character stands for itself.
+    """
+    backslash = pos
+    pos += 1
     n = len(text)
     if pos >= n:
-        raise DuelSyntaxError("dangling backslash", pos - 1, text)
+        raise DuelSyntaxError("dangling backslash", backslash, text)
     if text[pos] == "x":
         pos += 1
-        while pos < n and (text[pos].isdigit() or text[pos].lower() in "abcdef"):
+        if pos >= n or text[pos] not in _HEX_DIGITS:
+            raise DuelSyntaxError("\\x used with no following hex digits",
+                                  backslash, text)
+        while pos < n and text[pos] in _HEX_DIGITS:
             pos += 1
         return pos
-    if text[pos].isdigit():
-        count = 0
-        while pos < n and text[pos].isdigit() and count < 3:
+    if text[pos] in _OCTAL_DIGITS:
+        end = min(pos + 3, n)
+        pos += 1
+        while pos < end and text[pos] in _OCTAL_DIGITS:
             pos += 1
-            count += 1
         return pos
     return pos + 1
 
 
 def unescape(body: str) -> str:
-    """Interpret C escape sequences in a char/string literal body."""
+    """Interpret C escape sequences in a char/string literal body
+    (one the lexer accepted, so every ``\\x`` has a hex digit)."""
     out = []
     i = 0
     n = len(body)
@@ -220,13 +236,13 @@ def unescape(body: str) -> str:
         if ch == "x":
             i += 1
             start = i
-            while i < n and (body[i].isdigit() or body[i].lower() in "abcdef"):
+            while i < n and body[i] in _HEX_DIGITS:
                 i += 1
             out.append(chr(int(body[start:i], 16) & 0xFF))
             continue
-        if ch.isdigit():
+        if ch in _OCTAL_DIGITS:
             start = i
-            while i < n and body[i].isdigit() and i - start < 3:
+            while i < n and body[i] in _OCTAL_DIGITS and i - start < 3:
                 i += 1
             out.append(chr(int(body[start:i], 8) & 0xFF))
             continue
@@ -235,40 +251,61 @@ def unescape(body: str) -> str:
     return "".join(out)
 
 
+#: How deeply sub-expressions may nest (see :meth:`TokenStream.enter`).
+MAX_DEPTH = 128
+
+
 class TokenStream:
-    """Cursor over a token list with pushback and ``]]`` splitting."""
+    """Cursor over a token list with pushback and ``]]`` splitting.
+
+    ``depth`` counts the parser's open nested productions; the parser
+    calls :meth:`enter` on the way into one, so a pathologically nested
+    input is a syntax error rather than a Python ``RecursionError``.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        tokens = tokenize(text)
+        # Two spare EOFs: peek(1) and peek(2) never index past the end.
+        tokens += tokens[-1:] * 2
+        self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.i]
         if token.kind != "eof":
             self.i += 1
         return token
 
-    def accept(self, *ops: str) -> Optional[Token]:
-        if self.peek().is_op(*ops):
-            return self.next()
+    def accept(self, op: str) -> Optional[Token]:
+        token = self.tokens[self.i]
+        if token.text == op:      # only an operator token spells one
+            self.i += 1
+            return token
         return None
 
     def expect(self, op: str) -> Token:
         token = self.peek()
-        if op == "]" and token.is_op("]]"):
+        if op == "]" and token.text == "]]":
             return self.split_rbracket()
-        if op == "[" and token.is_op("[["):
+        if op == "[" and token.text == "[[":
             return self.split_lbracket()
-        if not token.is_op(op):
+        if token.text != op:
             raise DuelSyntaxError(
                 f"expected {op!r}, found {token.text or 'end of input'!r}",
                 token.start, self.text)
         return self.next()
+
+    def enter(self) -> None:
+        """Open one more nested production (the caller closes it with
+        ``depth -= 1``); past :data:`MAX_DEPTH` the text is rejected."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error("expression nested too deeply")
 
     def split_rbracket(self) -> Token:
         """Split a ``]]`` token into two ``]`` (for ``a[b[0]]``)."""
@@ -289,7 +326,7 @@ class TokenStream:
 
     @property
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.tokens[self.i].kind == "eof"
 
     def error(self, message: str) -> DuelSyntaxError:
         token = self.peek()

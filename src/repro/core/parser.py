@@ -1,7 +1,8 @@
 """Parser for DUEL's concrete syntax.
 
 The paper uses a yacc grammar; this is the equivalent recursive-descent
-/ precedence-climbing parser.  Precedence, loosest to tightest:
+parser, with every C binary operator parsed by one precedence-climbing
+loop over :data:`_BINARY`.  Precedence, loosest to tightest:
 
     ;                            sequence
     ,                            alternate
@@ -29,6 +30,12 @@ Casts and declarations are recognised when a parenthesis/statement
 begins with a type keyword, or with a typedef name known to the
 ``is_type_name`` predicate (supplied by the session, backed by the
 debugger's symbol tables).
+
+Nesting is bounded: every nested operand and assignment right-hand side
+opens a level on the token stream (:meth:`TokenStream.enter`), and past
+:data:`~repro.core.lexer.MAX_DEPTH` levels (about 63 nested
+parentheses) the text is a :class:`DuelSyntaxError`, not a Python
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -43,14 +50,43 @@ from repro.core import nodes as N
 _NON_STARTERS = {")", "]", "]]", "}", ",", ";", "=>", "?", ":", "@", "#",
                  "[[", "..", "&&", "||"}
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-               "<<=", ">>=")
-_EQUALITY = ("==", "!=", "==?", "!=?")
-_RELATIONAL = ("<", ">", "<=", ">=", "<?", ">?", "<=?", ">=?")
-_REDUCTIONS = ("#/", "+/", "*/", "&&/", "||/", "<?/", ">?/")
+_ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+                         "^=", "<<=", ">>="))
 
-_DECL_STARTERS = TYPE_KEYWORDS | {"typedef"}
+_DECL_STARTERS = TYPE_KEYWORDS | {"typedef", "static", "extern", "register",
+                                  "auto"}
 
+#: Bracket depth change per token, for skipping declarations and casts.
+_NESTING = {"(": 1, "[": 1, "{": 1, "[[": 2, ")": -1, "]": -1, "}": -1,
+            "]]": -2}
+
+
+def _c_binary(op: str, left: N.Node, right: N.Node) -> N.Node:
+    return N.Binary(op, left, right)
+
+
+def _compare_yield(op: str, left: N.Node, right: N.Node) -> N.Node:
+    return N.CompareYield(op[:-1], left, right)
+
+
+#: Every binary operator: its precedence level (higher binds tighter;
+#: all are left-associative) and the node it builds.
+_BINARY = {
+    "||": (1, lambda op, left, right: N.OrOr(left, right)),
+    "&&": (2, lambda op, left, right: N.AndAnd(left, right)),
+    "|": (3, _c_binary),
+    "^": (4, _c_binary),
+    "&": (5, _c_binary),
+    "==": (6, _c_binary), "!=": (6, _c_binary),
+    "==?": (6, _compare_yield), "!=?": (6, _compare_yield),
+    "<": (7, _c_binary), ">": (7, _c_binary),
+    "<=": (7, _c_binary), ">=": (7, _c_binary),
+    "<?": (7, _compare_yield), ">?": (7, _compare_yield),
+    "<=?": (7, _compare_yield), ">=?": (7, _compare_yield),
+    "<<": (8, _c_binary), ">>": (8, _c_binary),
+    "+": (9, _c_binary), "-": (9, _c_binary),
+    "*": (10, _c_binary), "/": (10, _c_binary), "%": (10, _c_binary),
+}
 
 class DuelParser:
     """Compiles DUEL source text into an AST."""
@@ -71,7 +107,7 @@ class DuelParser:
     def _sequence(self, s: TokenStream) -> N.Node:
         node = self._statement(s)
         while s.accept(";"):
-            if s.at_end or s.peek().is_op(")"):
+            if s.at_end or s.peek().text == ")":
                 return N.Sequence(node, None)  # trailing ; = side effects only
             node = N.Sequence(node, self._statement(s))
         return node
@@ -85,32 +121,23 @@ class DuelParser:
         token = s.peek()
         if token.kind != "name":
             return False
-        if token.text in _DECL_STARTERS or token.text in (
-                "static", "extern", "register", "auto"):
+        if token.text in _DECL_STARTERS:
             return True
         # typedef-name declaration: "size_t n" (name followed by name/*).
         if self.is_type_name(token.text):
             look = s.peek(1)
-            return look.kind == "name" or look.is_op("*")
+            return look.kind == "name" or look.text == "*"
         return False
 
     def _declaration(self, s: TokenStream) -> N.Node:
-        start_token = s.peek()
-        start = start_token.start
+        start = s.peek().start
         depth = 0
         end = start
         while not s.at_end:
             token = s.peek()
-            if token.is_op("(", "[", "{"):
-                depth += 1
-            elif token.is_op("[["):
-                depth += 2
-            elif token.is_op(")", "]", "}"):
-                depth -= 1
-            elif token.is_op("]]"):
-                depth -= 2
-            elif token.is_op(";") and depth == 0:
+            if token.text == ";" and depth == 0:
                 break
+            depth += _NESTING.get(token.text, 0)
             end = token.end
             s.next()
         text = s.text[start:end]
@@ -118,54 +145,61 @@ class DuelParser:
             raise s.error("empty declaration")
         return N.Declaration(text + ";")
 
-    # -- alternate -------------------------------------------------------------
+    # -- alternate / imply -----------------------------------------------------
     def _alternate(self, s: TokenStream) -> N.Node:
         node = self._imply(s)
         while s.accept(","):
             node = N.Alternate(node, self._imply(s))
         return node
 
-    # -- imply -----------------------------------------------------------------
     def _imply(self, s: TokenStream) -> N.Node:
-        node = self._assign(s)
-        if s.accept("=>"):
-            return N.Imply(node, self._imply(s))
+        lefts = [self._assign(s)]
+        while s.accept("=>"):
+            lefts.append(self._assign(s))
+        node = lefts.pop()
+        while lefts:                    # right-associative
+            node = N.Imply(lefts.pop(), node)
         return node
 
     # -- assignment / alias definition ------------------------------------------
     def _assign(self, s: TokenStream) -> N.Node:
+        s.enter()
         node = self._conditional(s)
         token = s.peek()
-        if token.is_op(":="):
+        if token.text == ":=":
             if not isinstance(node, N.Name):
                 raise s.error("alias definition needs a simple name "
                               "on the left of :=")
             s.next()
-            return N.Define(node.name, self._assign(s))
-        if token.is_op(*_ASSIGN_OPS):
+            node = N.Define(node.name, self._assign(s))
+        elif token.text in _ASSIGN_OPS:
             s.next()
-            rhs = self._assign(s)
-            return N.Assign(token.text, node, rhs)
+            node = N.Assign(token.text, node, self._assign(s))
+        s.depth -= 1
         return node
 
     # -- conditional -----------------------------------------------------------
     def _conditional(self, s: TokenStream) -> N.Node:
+        arms = []
         node = self._to(s)
-        if s.accept("?"):
+        while s.accept("?"):
             then = self._assign(s)
             s.expect(":")
-            els = self._conditional(s)
-            return N.If(node, then, els)
+            arms.append((node, then))
+            node = self._to(s)
+        while arms:                     # a ? b : c ? d : e nests rightward
+            cond, then = arms.pop()
+            node = N.If(cond, then, node)
         return node
 
     # -- to ----------------------------------------------------------------------
     def _to(self, s: TokenStream) -> N.Node:
         if s.accept(".."):
-            return N.To(None, self._oror(s))
-        node = self._oror(s)
+            return N.To(None, self._binary(s))
+        node = self._binary(s)
         if s.accept(".."):
             if self._expression_follows(s):
-                return N.To(node, self._oror(s))
+                return N.To(node, self._binary(s))
             return N.To(node, None)
         return node
 
@@ -179,116 +213,51 @@ class DuelParser:
             return False
         return True
 
-    # -- binary tiers ----------------------------------------------------------
-    def _oror(self, s: TokenStream) -> N.Node:
-        node = self._andand(s)
-        while s.accept("||"):
-            node = N.OrOr(node, self._andand(s))
-        return node
-
-    def _andand(self, s: TokenStream) -> N.Node:
-        node = self._bitor(s)
-        while s.accept("&&"):
-            node = N.AndAnd(node, self._bitor(s))
-        return node
-
-    def _bitor(self, s: TokenStream) -> N.Node:
-        node = self._bitxor(s)
-        while s.accept("|"):
-            node = N.Binary("|", node, self._bitxor(s))
-        return node
-
-    def _bitxor(self, s: TokenStream) -> N.Node:
-        node = self._bitand(s)
-        while s.accept("^"):
-            node = N.Binary("^", node, self._bitand(s))
-        return node
-
-    def _bitand(self, s: TokenStream) -> N.Node:
-        node = self._equality(s)
-        while s.accept("&"):
-            node = N.Binary("&", node, self._equality(s))
-        return node
-
-    def _equality(self, s: TokenStream) -> N.Node:
-        node = self._relational(s)
-        while True:
-            token = s.peek()
-            if not token.is_op(*_EQUALITY):
-                return node
-            s.next()
-            rhs = self._relational(s)
-            if token.text.endswith("?"):
-                node = N.CompareYield(token.text[:-1], node, rhs)
-            else:
-                node = N.Binary(token.text, node, rhs)
-
-    def _relational(self, s: TokenStream) -> N.Node:
-        node = self._shift(s)
-        while True:
-            token = s.peek()
-            if not token.is_op(*_RELATIONAL):
-                return node
-            s.next()
-            rhs = self._shift(s)
-            if token.text.endswith("?"):
-                node = N.CompareYield(token.text[:-1], node, rhs)
-            else:
-                node = N.Binary(token.text, node, rhs)
-
-    def _shift(self, s: TokenStream) -> N.Node:
-        node = self._additive(s)
-        while True:
-            token = s.peek()
-            if not token.is_op("<<", ">>"):
-                return node
-            s.next()
-            node = N.Binary(token.text, node, self._additive(s))
-
-    def _additive(self, s: TokenStream) -> N.Node:
-        node = self._multiplicative(s)
-        while True:
-            token = s.peek()
-            if not token.is_op("+", "-"):
-                return node
-            s.next()
-            node = N.Binary(token.text, node, self._multiplicative(s))
-
-    def _multiplicative(self, s: TokenStream) -> N.Node:
+    # -- binary operators ------------------------------------------------------
+    def _binary(self, s: TokenStream) -> N.Node:
+        """Precedence climbing over :data:`_BINARY`.  Left operands wait
+        on an explicit stack until an operator that binds no tighter
+        arrives, so operator chains add no recursion."""
         node = self._unary(s)
+        pending: list = []     # (level, build, op, left operand)
         while True:
-            token = s.peek()
-            if not token.is_op("*", "/", "%"):
+            entry = _BINARY.get(s.peek().text)
+            level = entry[0] if entry is not None else 0
+            while pending and pending[-1][0] >= level:
+                _, build, op, left = pending.pop()
+                node = build(op, left, node)
+            if entry is None:
                 return node
-            s.next()
-            node = N.Binary(token.text, node, self._unary(s))
+            pending.append((level, entry[1], s.next().text, node))
+            node = self._unary(s)
 
     # -- unary ---------------------------------------------------------------
     def _unary(self, s: TokenStream) -> N.Node:
-        token = s.peek()
-        if token.is_op("-", "+", "!", "~", "*", "&"):
-            s.next()
-            return N.Unary(token.text, self._unary(s))
-        if token.is_op("++", "--"):
-            s.next()
-            return N.IncDec(token.text, self._unary(s), postfix=False)
-        if token.is_op(*_REDUCTIONS):
-            s.next()
-            return N.Reduce(token.text[:-1], self._unary(s))
-        if token.is_op(".."):
-            s.next()
-            return N.To(None, self._oror(s))
-        if token.is_op("(") and self._starts_cast(s):
-            return self._cast(s)
-        if token.kind == "name":
-            if token.text == "sizeof":
-                return self._sizeof(s)
-            if token.text == "if":
-                return self._if_expr(s)
-            if token.text == "while":
-                return self._while_expr(s)
-            if token.text == "for":
-                return self._for_expr(s)
+        s.enter()
+        prefix = self._PREFIX.get(s.peek().text)
+        node = self._postfix(s) if prefix is None else prefix(self, s)
+        s.depth -= 1
+        return node
+
+    def _operator(self, s: TokenStream) -> N.Node:
+        op = s.next().text
+        return N.Unary(op, self._unary(s))
+
+    def _preincdec(self, s: TokenStream) -> N.Node:
+        op = s.next().text
+        return N.IncDec(op, self._unary(s), postfix=False)
+
+    def _reduction(self, s: TokenStream) -> N.Node:
+        op = s.next().text
+        return N.Reduce(op[:-1], self._unary(s))
+
+    def _prefix_to(self, s: TokenStream) -> N.Node:
+        s.next()
+        return N.To(None, self._binary(s))
+
+    def _paren(self, s: TokenStream) -> N.Node:
+        if self._starts_cast(s):
+            return N.Cast(self._type_text(s), self._unary(s))
         return self._postfix(s)
 
     def _starts_cast(self, s: TokenStream) -> bool:
@@ -302,46 +271,31 @@ class DuelParser:
         # "(name)" is a cast only if followed by ")" then something that
         # a cast could apply to, or by "*"/ ")" inside.
         after = s.peek(2)
-        return after.is_op("*", ")") or after.kind == "name"
+        return after.text in ("*", ")") or after.kind == "name"
 
-    def _cast(self, s: TokenStream) -> N.Node:
+    def _type_text(self, s: TokenStream) -> str:
+        """Consume ``( type-name )``; return the type name's source."""
         s.expect("(")
         start = s.peek().start
         depth = 1
         end = start
         while not s.at_end:
             token = s.peek()
-            if token.is_op("("):
+            if token.text == "(":
                 depth += 1
-            elif token.is_op(")"):
+            elif token.text == ")":
                 depth -= 1
                 if depth == 0:
                     break
             end = token.end
             s.next()
         s.expect(")")
-        type_text = s.text[start:end]
-        return N.Cast(type_text, self._unary(s))
+        return s.text[start:end]
 
     def _sizeof(self, s: TokenStream) -> N.Node:
         s.next()  # 'sizeof'
-        if s.peek().is_op("(") and self._starts_cast(s):
-            s.expect("(")
-            start = s.peek().start
-            depth = 1
-            end = start
-            while not s.at_end:
-                token = s.peek()
-                if token.is_op("("):
-                    depth += 1
-                elif token.is_op(")"):
-                    depth -= 1
-                    if depth == 0:
-                        break
-                end = token.end
-                s.next()
-            s.expect(")")
-            return N.SizeOf(type_text=s.text[start:end])
+        if s.peek().text == "(" and self._starts_cast(s):
+            return N.SizeOf(type_text=self._type_text(s))
         return N.SizeOf(kid=self._unary(s))
 
     def _if_expr(self, s: TokenStream) -> N.Node:
@@ -367,103 +321,102 @@ class DuelParser:
     def _for_expr(self, s: TokenStream) -> N.Node:
         s.next()
         s.expect("(")
-        init = None if s.peek().is_op(";") else self._alternate(s)
+        init = None if s.peek().text == ";" else self._alternate(s)
         s.expect(";")
-        cond = None if s.peek().is_op(";") else self._alternate(s)
+        cond = None if s.peek().text == ";" else self._alternate(s)
         s.expect(";")
-        step = None if s.peek().is_op(")") else self._alternate(s)
+        step = None if s.peek().text == ")" else self._alternate(s)
         s.expect(")")
         body = self._conditional(s)
         return N.For(init, cond, step, body)
+
+    #: Unary-position dispatch on the token text (anything else is a
+    #: postfix expression).
+    _PREFIX = {
+        **dict.fromkeys(("-", "+", "!", "~", "*", "&"), _operator),
+        **dict.fromkeys(("++", "--"), _preincdec),
+        **dict.fromkeys(("#/", "+/", "*/", "&&/", "||/", "<?/", ">?/"),
+                        _reduction),
+        "..": _prefix_to, "(": _paren, "sizeof": _sizeof, "if": _if_expr,
+        "while": _while_expr, "for": _for_expr,
+    }
 
     # -- postfix -----------------------------------------------------------------
     def _postfix(self, s: TokenStream) -> N.Node:
         node = self._primary(s)
         while True:
-            token = s.peek()
-            if token.is_op("["):
-                s.next()
-                index = self._sequence(s)
-                s.expect("]")
-                node = N.Index(node, index)
-            elif token.is_op("[["):
-                s.next()
-                selector = self._sequence(s)
-                s.expect("]")
-                s.expect("]")
-                node = N.Select(node, selector)
-            elif token.is_op("("):
-                s.next()
-                args = []
-                if not s.peek().is_op(")"):
-                    args.append(self._imply(s))
-                    while s.accept(","):
-                        args.append(self._imply(s))
-                s.expect(")")
-                node = N.Call(node, tuple(args))
-            elif token.is_op(".", "->"):
-                s.next()
-                rhs = self._with_operand(s)
-                node = N.With(node, rhs, arrow=(token.text == "->"))
-            elif token.is_op("-->", "-->>"):
-                s.next()
-                rhs = self._with_operand(s)
-                node = N.Expand(node, rhs,
-                                breadth_first=(token.text == "-->>"))
-            elif token.is_op("@"):
-                s.next()
-                node = N.Until(node, self._guard_operand(s))
-            elif token.is_op("#"):
-                s.next()
-                name = s.next()
-                if name.kind != "name" or name.text in KEYWORDS:
-                    raise s.error("expected index-alias name after #")
-                node = N.IndexAlias(node, name.text)
-            elif token.is_op("++", "--"):
-                s.next()
-                node = N.IncDec(token.text, node, postfix=True)
-            else:
+            suffix = self._SUFFIX.get(s.peek().text)
+            if suffix is None:
                 return node
+            node = suffix(self, s, s.next(), node)
+
+    def _index(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        index = self._sequence(s)
+        s.expect("]")
+        return N.Index(node, index)
+
+    def _select(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        selector = self._sequence(s)
+        s.expect("]")
+        s.expect("]")
+        return N.Select(node, selector)
+
+    def _call(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        args = []
+        if s.peek().text != ")":
+            args.append(self._imply(s))
+            while s.accept(","):
+                args.append(self._imply(s))
+        s.expect(")")
+        return N.Call(node, tuple(args))
+
+    def _with(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        return N.With(node, self._with_operand(s), arrow=(token.text == "->"))
+
+    def _expand(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        return N.Expand(node, self._with_operand(s),
+                        breadth_first=(token.text == "-->>"))
+
+    def _until(self, s: TokenStream, token: Token, node: N.Node) -> N.Node:
+        return N.Until(node, self._guard_operand(s))
+
+    def _index_alias(self, s: TokenStream, token: Token,
+                     node: N.Node) -> N.Node:
+        name = s.next()
+        if name.kind != "name" or name.text in KEYWORDS:
+            raise s.error("expected index-alias name after #")
+        return N.IndexAlias(node, name.text)
+
+    def _postincdec(self, s: TokenStream, token: Token,
+                    node: N.Node) -> N.Node:
+        return N.IncDec(token.text, node, postfix=True)
+
+    #: Postfix dispatch on the token text after an operand.
+    _SUFFIX = {"[": _index, "[[": _select, "(": _call, ".": _with,
+               "->": _with, "-->": _expand, "-->>": _expand, "@": _until,
+               "#": _index_alias, "++": _postincdec, "--": _postincdec}
 
     def _with_operand(self, s: TokenStream) -> N.Node:
         """Right side of . -> --> : name | (expr) | {expr} | if-expr."""
         token = s.peek()
         if token.kind == "name" and token.text == "if":
             return self._if_expr(s)
-        if token.is_op("("):
-            s.next()
-            node = self._sequence(s)
-            s.expect(")")
-            return node
-        if token.is_op("{"):
-            s.next()
-            node = self._sequence(s)
-            s.expect("}")
-            return N.Group(node)
+        if token.text in ("(", "{"):
+            return self._bracketed(s)
         if token.kind == "name" and token.text not in KEYWORDS:
             s.next()
             return N.Name(token.text)
-        if token.is_op("_"):  # unreachable: "_" lexes as a name
-            s.next()
-            return N.Underscore()
         raise s.error("expected field name or (expression) after ./->/-->")
 
     def _guard_operand(self, s: TokenStream) -> N.Node:
         """Right side of @ : constant | name | (expr) | {expr}."""
         token = s.peek()
-        if token.is_op("("):
-            s.next()
-            node = self._sequence(s)
-            s.expect(")")
-            return node
-        if token.is_op("{"):
-            s.next()
-            node = self._sequence(s)
-            s.expect("}")
-            return N.Group(node)
+        if token.text in ("(", "{"):
+            return self._bracketed(s)
         if token.kind in ("num", "fnum", "char"):
             return self._primary(s)
-        if token.is_op("-", "+") and s.peek(1).kind in ("num", "fnum", "char"):
+        if token.text in ("-", "+") and s.peek(1).kind in ("num", "fnum",
+                                                           "char"):
             s.next()
             return N.Unary(token.text, self._primary(s))
         if token.kind == "name" and token.text not in KEYWORDS:
@@ -471,56 +424,73 @@ class DuelParser:
             return N.Name(token.text)
         raise s.error("expected constant, name, or (expression) after @")
 
+    def _bracketed(self, s: TokenStream) -> N.Node:
+        """``(e)`` is ``e``; ``{e}`` is the group ``{e}``."""
+        if s.next().text == "(":
+            node = self._sequence(s)
+            s.expect(")")
+            return node
+        node = self._sequence(s)
+        s.expect("}")
+        return N.Group(node)
+
     # -- primary -----------------------------------------------------------------
     def _primary(self, s: TokenStream) -> N.Node:
         token = s.peek()
-        if token.kind == "num":
-            s.next()
-            return _int_constant(token)
-        if token.kind == "fnum":
-            s.next()
-            return N.Constant(float(token.text), "double", token.text)
-        if token.kind == "char":
-            s.next()
+        kind = token.kind
+        if kind == "num":
+            node = _int_constant(s, token)
+        elif kind == "fnum":
+            node = N.Constant(float(token.text), "double", token.text)
+        elif kind == "char":
             body = unescape(token.text[1:-1])
-            return N.Constant(ord(body) & 0xFF, "char", token.text)
-        if token.kind == "string":
-            s.next()
-            return N.StringLiteral(
+            node = N.Constant(ord(body) & 0xFF, "char", token.text)
+        elif kind == "string":
+            node = N.StringLiteral(
                 unescape(token.text[1:-1]).encode("latin-1"), token.text)
-        if token.kind == "name":
+        elif kind == "name":
             if token.text == "_":
-                s.next()
-                return N.Underscore()
-            if token.text == "frame" and s.peek(1).is_op("("):
+                node = N.Underscore()
+            elif token.text == "frame" and s.peek(1).text == "(":
                 s.next()
                 s.expect("(")
                 index = self._sequence(s)
                 s.expect(")")
                 return N.FrameExpr(index)
-            if token.text in KEYWORDS:
+            elif token.text in KEYWORDS:
                 raise s.error(f"unexpected keyword {token.text!r}")
-            s.next()
-            return N.Name(token.text)
-        if token.is_op("("):
-            s.next()
-            node = self._sequence(s)
-            s.expect(")")
-            return node
-        if token.is_op("{"):
-            s.next()
-            node = self._sequence(s)
-            s.expect("}")
-            return N.Group(node)
-        raise s.error(
-            f"expected expression, found {token.text or 'end of input'!r}")
+            else:
+                node = N.Name(token.text)
+        elif token.text in ("(", "{"):
+            return self._bracketed(s)
+        else:
+            raise s.error(
+                f"expected expression, found {token.text or 'end of input'!r}")
+        s.next()
+        return node
 
 
-def _int_constant(token: Token) -> N.Constant:
+def _int_constant(s: TokenStream, token: Token) -> N.Constant:
+    """A C integer constant: ``0x`` hex, leading-``0`` octal, decimal.
+
+    A nonzero octal constant displays as its decimal value (``x[010]``
+    prints as ``x[8]``), so symbolic output never reads ``010`` as ten."""
     text = token.text
     body = text.rstrip("uUlL")
-    suffix = text[len(body):].lower()
-    value = int(body, 0)
+    if body[:2] in ("0x", "0X"):
+        base, name = 16, "hexadecimal"
+    elif body[0] == "0":
+        base, name = 8, "octal"
+    else:
+        base, name = 10, "decimal"
+    try:
+        value = int(body, base)
+    except ValueError:
+        raise s.error(f"invalid {name} constant {text!r}") from None
+    suffix = text[len(body):]
+    if base == 8 and value:
+        text = f"{value}{suffix}"
+    suffix = suffix.lower()
     unsigned = "u" in suffix
     long_ = "l" in suffix
     if long_ and unsigned:

@@ -116,6 +116,10 @@ class TypeEnv:
         self.enums: dict[str, EnumType] = {}
         self.typedefs: dict[str, TypedefType] = {}
         self.enum_constants: dict[str, tuple[int, EnumType]] = {}
+        #: Moves whenever the set of typedef names changes.  A DUEL
+        #: parse asks ``is_type_name`` whether ``(T)x`` is a cast, so a
+        #: cache of parses keys its entries on this.
+        self.typedef_generation = 0
 
     def struct_tag(self, tag: str) -> StructType:
         """Fetch or forward-declare ``struct tag``."""
@@ -136,7 +140,19 @@ class TypeEnv:
     def add_typedef(self, name: str, target: CType) -> TypedefType:
         td = TypedefType(name, target)
         self.typedefs[name] = td
+        self.typedef_generation += 1
         return td
+
+    def restore_typedefs(self, typedefs: dict) -> None:
+        """Make ``typedefs`` the typedef table (a snapshot restore);
+        a table that did not change is left alone."""
+        current = self.typedefs
+        if current.keys() == typedefs.keys() and all(
+                current[name] is td for name, td in typedefs.items()):
+            return
+        current.clear()
+        current.update(typedefs)
+        self.typedef_generation += 1
 
     def is_type_name(self, name: str) -> bool:
         return name in self.typedefs

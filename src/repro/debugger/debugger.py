@@ -139,14 +139,15 @@ class Debugger:
         return bp
 
     def watch(self, expression: str) -> Watchpoint:
-        self.session.compile(expression)  # validate eagerly
+        # Validate eagerly; every later check reuses this parse.
+        self.session.prepare(expression)
         wp = Watchpoint(expression, id=next(self._ids))
         self.watchpoints.append(wp)
         return wp
 
     def assert_always(self, expression: str,
                       allow_empty: bool = True) -> Assertion:
-        self.session.compile(expression)
+        self.session.prepare(expression)
         asrt = Assertion(expression, allow_empty, id=next(self._ids))
         self.assertions.append(asrt)
         return asrt

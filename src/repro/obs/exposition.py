@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 #: The content type Prometheus scrapers expect.
@@ -138,6 +137,10 @@ class MetricsServer:
         """Bind and start serving; returns the bound port."""
         if self._server is not None:
             return self.port
+        # Imported here: the HTTP stack (http.client, ssl, email) adds
+        # about 3.4 MB of resident memory to every process that merely
+        # renders metrics (the statements table, the REPL ``metrics``).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         registry = self.registry
         server = self
 

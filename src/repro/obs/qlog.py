@@ -272,7 +272,7 @@ def drive_logged(qlog: QueryLog, session, text: str, drive,
     qid = qlog.begin(text, engine)
     t0 = perf_counter_ns()
     try:
-        node = session.compile(text)
+        node = session.prepare(text).node
     except DuelError as error:
         governor.end_query()
         qlog.end(qid, "rejected", error=error)

@@ -11,8 +11,9 @@ and symbol tables in many small steps; a reader racing a writer could
 observe half a mutation.  All query execution therefore goes through
 a readers–writer lock: read-only queries run concurrently, queries
 that can mutate the target (assignments, increments, target calls,
-declarations — the same :func:`~repro.core.session._has_side_effects`
-predicate the rollback machinery uses) run exclusively.
+declarations — the same ``side_effects`` fact of the session's
+:class:`~repro.core.session.Prepared` query the rollback machinery
+uses) run exclusively.
 
 **Cross-client corruption.**  Even a *successful* write query must
 not leak into other clients' reads: the service promises each client
@@ -62,7 +63,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
-from repro.core.session import DuelSession, _has_side_effects
+from repro.core.session import DuelSession
 from repro.target import snapshot
 from repro.target.interface import SimulatorBackend
 
@@ -610,13 +611,13 @@ class SessionManager:
 
         A text that does not compile is classified read-only: the
         drive will surface the parse error itself, and an unparsed
-        query cannot write anything.
+        query cannot write anything.  A text that does compile stays
+        prepared, so the drive that follows does not parse it again.
         """
         try:
-            node = client.session.compile(text)
+            return client.session.prepare(text).side_effects
         except Exception:
             return False
-        return _has_side_effects(node)
 
     def run(self, client: ClientSession, text: str, on_lock=None,
             **drive) -> Iterator[tuple]:

@@ -177,7 +177,7 @@ def restore(program: TargetProgram, snapshot: Snapshot) -> None:
     types.structs.clear(); types.structs.update(structs)
     types.unions.clear(); types.unions.update(unions)
     types.enums.clear(); types.enums.update(enums)
-    types.typedefs.clear(); types.typedefs.update(typedefs)
+    types.restore_typedefs(typedefs)
     types.enum_constants.clear(); types.enum_constants.update(enum_constants)
 
     program._interned = dict(snapshot.interned)
