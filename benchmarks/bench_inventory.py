@@ -33,7 +33,7 @@ MAPPING = {
     "parser + lexer": (None, ["core/parser.py", "core/lexer.py",
                               "core/nodes.py"]),
     "display": (None, ["core/format.py", "core/session.py"]),
-    "beyond the paper": (None, ["core/optimize.py", "debugger/debugger.py",
+    "beyond the paper": (None, ["debugger/debugger.py",
                                 "target/snapshot.py", "cli.py"]),
 }
 

@@ -3,18 +3,18 @@
 Three questions, one artifact section:
 
 * **Does the cache batch?**  On the paper's P3 scan and the worked
-  hash-table scan, the page cache must turn the evaluator's
+  hash-table scan, the demand page cache must turn the evaluator's
   value-at-a-time logical reads into bulk physical reads — gated at
-  ``--min-read-reduction`` (CI: 5×, measured ≥50× in practice; the
-  adaptive prefetcher must also beat plain demand caching).
+  ``--min-read-reduction`` (CI: 5×; 125× on P3 and 14.9× on the
+  hash scan in practice).
 * **Is off really free?**  ``--page-cache off`` does not construct a
   cache at all — the backend chain is byte-identical to a stock
   session.  ``off/stock`` p50 on P3 is gated at
   ``--max-off-overhead`` (CI: 1.05, i.e. <5%).
-* **Is it coherent?**  A writer session and cached reader sessions
-  share one target: after every committed write the readers must see
-  the new value immediately (epoch invalidation), with **zero** stale
-  reads tolerated.
+* **Is it coherent?**  A writer session and demand-cached reader
+  sessions share one target: after every committed write the readers
+  must see the new value immediately (epoch invalidation), with
+  **zero** stale reads tolerated.
 
 The latency configurations interleave one query per round with the
 order rotating (same discipline as ``bench_access.py``) so drift
@@ -52,7 +52,7 @@ SCANS = {
     "hash_scan": ("hash", "(hash[..1024] !=? 0)->scope >? 5"),
 }
 
-MODES = ("off", "demand", "adaptive")
+MODES = ("off", "demand")
 
 
 def quantiles(timings_ms: list[float]) -> dict:
@@ -102,8 +102,7 @@ def interleaved_latency(queries: int) -> dict[str, list[float]]:
     spec, expr = SCANS["p3_array"]
     sessions = {"stock": make_session(spec, None),
                 "off": make_session(spec, "off"),
-                "demand": make_session(spec, "demand"),
-                "adaptive": make_session(spec, "adaptive")}
+                "demand": make_session(spec, "demand")}
     for session in sessions.values():
         run_once(session, expr)                    # warm-up
     timings: dict[str, list[float]] = {name: [] for name in sessions}
@@ -136,7 +135,6 @@ def read_traffic() -> dict:
             cache = session.evaluator.page_cache
             if cache is not None:
                 entry[mode]["hit_rate"] = round(cache.hit_rate, 4)
-                entry[mode]["prefetched_pages"] = cache.prefetched_pages
         report[workload] = entry
     return report
 
@@ -152,11 +150,11 @@ def coherence_hammer(writes: int) -> dict:
     """
     program = build_program("big_array")
     writer = DuelSession(SimulatorBackend(program),
-                         page_cache="adaptive", symbolic=False)
+                         page_cache="demand", symbolic=False)
     readers = [DuelSession(SimulatorBackend(program),
                            page_cache=PageCachePolicy(
-                               mode="adaptive", page_size=64,
-                               capacity=16), symbolic=False)
+                               page_size=64, capacity=16),
+                           symbolic=False)
                for _ in range(2)]
     for session in readers:                        # warm every cache
         session.duel("x[..64]", out=io.StringIO())
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
     parser.add_argument("--min-read-reduction", type=float,
                         default=None, metavar="RATIO",
                         help="fail (exit 1) unless every scan "
-                             "workload's adaptive logical/physical "
+                             "workload's demand logical/physical "
                              "ratio is at least RATIO (CI: 5)")
     parser.add_argument("--max-off-overhead", type=float, default=None,
                         metavar="RATIO",
@@ -226,12 +224,9 @@ def main(argv=None) -> int:
     print(f"off-path cost (off/stock p50): {off_overhead:.3f}x")
     for workload, entry in traffic.items():
         demand = entry["demand"]
-        adaptive = entry["adaptive"]
         print(f"{workload}: {entry['off']['logical_reads']} logical → "
               f"{demand['physical_reads']} physical (demand, "
-              f"{demand['reduction']:.0f}x) / "
-              f"{adaptive['physical_reads']} (adaptive, "
-              f"{adaptive['reduction']:.0f}x)")
+              f"{demand['reduction']:.1f}x)")
     print(f"coherence: {coherence['reads']} cached reads across "
           f"{coherence['writes']} writes, "
           f"{coherence['stale_reads']} stale")
@@ -246,18 +241,13 @@ def main(argv=None) -> int:
         failed = True
     if ns.min_read_reduction is not None:
         for workload, entry in traffic.items():
-            adaptive = entry["adaptive"]
-            if adaptive["reduction"] < ns.min_read_reduction:
-                print(f"FAIL: {workload} adaptive read reduction "
-                      f"{adaptive['reduction']:.1f}x under "
+            demand = entry["demand"]
+            if demand["reduction"] < ns.min_read_reduction:
+                print(f"FAIL: {workload} demand read reduction "
+                      f"{demand['reduction']:.1f}x under "
                       f"--min-read-reduction "
                       f"{ns.min_read_reduction:.1f}x",
                       file=sys.stderr)
-                failed = True
-            if adaptive["physical_reads"] > \
-                    entry["demand"]["physical_reads"]:
-                print(f"FAIL: {workload} adaptive did more physical "
-                      "reads than demand caching", file=sys.stderr)
                 failed = True
     if ns.max_off_overhead is not None \
             and off_overhead > ns.max_off_overhead:

@@ -45,7 +45,7 @@ DUEL REPL commands:
   trace <expr>          same as explain
   accesses <expr>       run with the memory-access tracer; print the
                         stride/locality profile and prefetch advice
-  cache                 page-cache statistics (--page-cache demand|adaptive)
+  cache                 page-cache statistics (--page-cache demand)
   trace on|off          trace every query (events kept in a ring buffer)
   qlog on|off           toggle the structured query log (--query-log)
   metrics [export]      metrics registry table, or Prometheus text format
@@ -338,18 +338,16 @@ def _cache_command(session: DuelSession, line: str, out) -> None:
     """``cache`` — the page cache's live counters and policy.
 
     Shows the :class:`~repro.target.pagecache.PageCachingBackend`
-    statistics accumulated since startup: hit rate, logical vs.
-    physical traffic, prefetch volume, the current scan-pattern
-    classification, and residency.  With the cache off (the default)
-    it says how to turn it on.
+    statistics accumulated since startup: hit rate, physical traffic,
+    residency and the coherence epoch.  With the cache off (the
+    default) it says how to turn it on.
     """
     if len(line.split()) != 1:
         out.write("usage: cache\n")
         return
     cache = getattr(session.evaluator, "page_cache", None)
     if cache is None:
-        out.write("page cache off "
-                  "(start with --page-cache demand|adaptive)\n")
+        out.write("page cache off (start with --page-cache demand)\n")
         return
     stats = cache.stats()
     out.write(f"page cache: {stats['mode']}, {stats['page_size']}B x "
@@ -361,12 +359,7 @@ def _cache_command(session: DuelSession, line: str, out) -> None:
               f"{stats['cache_evictions']} evictions, "
               f"{stats['cache_flushes']} epoch flushes\n")
     out.write(f"  physical: {stats['physical_reads']} reads, "
-              f"{stats['physical_bytes']}B; prefetched "
-              f"{stats['prefetched_pages']} pages / "
-              f"{stats['prefetched_bytes']}B "
-              f"({stats['prefetch_hits']} used)\n")
-    out.write(f"  pattern: {stats['pattern']} "
-              f"(stride {stats['stride']}), epoch {stats['epoch']}\n")
+              f"{stats['physical_bytes']}B; epoch {stats['epoch']}\n")
 
 
 def _dump_command(session: DuelSession, line: str, out) -> None:
@@ -461,8 +454,6 @@ def main(argv: Optional[Sequence[str]] = None,
                              "(repeatable)")
     parser.add_argument("--no-symbolic", action="store_true",
                         help="print values without derivations")
-    parser.add_argument("--optimize", action="store_true",
-                        help="enable compile-time constant folding")
     parser.add_argument("--max-steps", type=int, default=None,
                         metavar="N",
                         help="per-query generator-step budget "
@@ -482,13 +473,11 @@ def main(argv: Optional[Sequence[str]] = None,
                         help="write one JSONL lifecycle record per "
                              "query (received/parsed/terminal) to FILE")
     parser.add_argument("--page-cache", default="off",
-                        choices=("off", "demand", "adaptive"),
-                        metavar="MODE",
+                        choices=("off", "demand"), metavar="MODE",
                         help="page-granular target read cache: 'off' "
-                             "(default; reads pass straight through), "
-                             "'demand' (cache pages as they are "
-                             "touched), or 'adaptive' (also prefetch "
-                             "ahead of sequential/strided scans)")
+                             "(default; reads pass straight through) "
+                             "or 'demand' (cache pages as they are "
+                             "touched)")
     parser.add_argument("--page-size", type=int, default=None,
                         metavar="BYTES",
                         help="cache page size in bytes, a power of "
@@ -622,6 +611,10 @@ def main(argv: Optional[Sequence[str]] = None,
     parser.add_argument("args", nargs="*", default=[],
                         help="argv for the target program (after --)")
     ns = parser.parse_args(argv)
+    for name in ("trace_sample", "access_sample"):
+        if getattr(ns, name) < 1:
+            out.write(f"error: {name.replace('_', ' ')} must be >= 1\n")
+            return 1
 
     try:
         program = build_target(ns.source, ns.args, out)
@@ -642,8 +635,7 @@ def main(argv: Optional[Sequence[str]] = None,
     if ns.page_cache_pages is not None:
         cache_kwargs["capacity"] = ns.page_cache_pages
     try:
-        page_cache = None if ns.page_cache == "off" \
-            else parse_policy(ns.page_cache, **cache_kwargs)
+        page_cache = parse_policy(ns.page_cache, **cache_kwargs)
     except ValueError as error:
         out.write(f"error: {error}\n")
         return 1
@@ -653,7 +645,6 @@ def main(argv: Optional[Sequence[str]] = None,
         return run_server(ns, program, limit_kwargs, out)
     session = DuelSession(SimulatorBackend(program),
                           symbolic=not ns.no_symbolic,
-                          optimize=ns.optimize,
                           page_cache=page_cache, **limit_kwargs)
     from repro.obs.statements import StatementStats
     session.statements = StatementStats()

@@ -204,6 +204,9 @@ class Evaluator:
         self.type_env = BackendTypeEnv(self.backend)
         self._decl_parser = DeclParser(self.type_env)
         self._string_cache: dict[bytes, int] = {}
+        #: This query's operand drivers, by ``id`` of the operand node
+        #: (nodes are unhashable); see :meth:`_operand`.
+        self._operands: dict[int, Callable[[], Iterable[DuelValue]]] = {}
         self._dispatch: dict[type, Callable] = {
             N.Constant: self._eval_constant,
             N.StringLiteral: self._eval_string,
@@ -241,8 +244,10 @@ class Evaluator:
 
     # -- plumbing ----------------------------------------------------------
     def reset(self) -> None:
-        """Start a fresh top-level evaluation (budgets, deadline, token)."""
+        """Start a fresh top-level evaluation (budgets, deadline, token,
+        and no operand carried over from the last query)."""
         self.governor.begin_query()
+        self._operands.clear()
 
     @property
     def _steps(self) -> int:
@@ -282,7 +287,7 @@ class Evaluator:
         self.link_chain()
 
     def set_page_cache(self, policy) -> None:
-        """Install (or remove, with None/'off') the target page cache.
+        """Install (or remove, with None) the target page cache.
 
         ``policy`` is a :class:`~repro.target.pagecache.PageCachePolicy`
         (or None).  The cache slots *between* the access wrapper and
@@ -297,7 +302,7 @@ class Evaluator:
 
         governed = self.governed_backend
         self.page_cache = None
-        if policy is not None and getattr(policy, "enabled", False):
+        if policy is not None:
             memory = getattr(getattr(governed, "program", None),
                              "memory", None)
             if memory is not None:
@@ -463,28 +468,42 @@ class Evaluator:
         re-evaluated for every value of the left one.
 
         An untraced operand made only of constants and the C operators
-        over them has one value that cannot change, so it is driven on
-        the first call only.  A later call adds what that drive charged
+        over them has one value that cannot change, so it is driven
+        once per query, on its first call (the paper's "could be done
+        at compile time", done at run time).  A later call, from this
+        node activation or any later one, adds what that drive charged
         the governor (steps and symbolic nodes) in one go and returns
         the value again, or drives afresh when a checkpoint or limit
         lies within that run, so stats, budgets, truncation points and
         checkpoints stay where re-driving puts them.  A traced drive
         re-drives, so per-node pulls and spans stay as they are.
+        :meth:`reset` forgets every driver, so nothing outlives its
+        query (nor a ``symbolic`` switch between queries).
         """
-        if self.tracer is not None or not _is_constant(node):
+        if self.tracer is not None:
             return lambda: self.eval(node)
+        operands = self._operands
+        hoisted = operands.get(id(node))
+        if hoisted is not None:
+            return hoisted
+        if not _is_constant(node):
+            operands[id(node)] = lambda: self.eval(node)
+            return operands[id(node)]
         governor = self.governor
         values: list[DuelValue] = []
         run = None  # (steps, symnodes) that one drive charges
 
         def drive():
-            nonlocal run
+            nonlocal values, run
             if run is not None and governor.add_run(*run):
                 return values
             steps, symnodes = governor.steps, governor.symnodes
-            values[:] = self.eval(node)
+            # A fresh list: an earlier activation may still be
+            # iterating the last one.
+            values = list(self.eval(node))
             run = (governor.steps - steps, governor.symnodes - symnodes)
             return values
+        operands[id(node)] = drive
         return drive
 
     # ==================================================================

@@ -53,7 +53,7 @@ class Prepared:
     """One query text, compiled once by :meth:`DuelSession.prepare`.
 
     Holds what every later query of the same text reuses: the AST
-    (folded under ``--optimize``; shared, so nothing may change it),
+    (shared, so nothing may change it),
     whether driving it can mutate the target (``side_effects``: the
     rollback snapshot and the served write lock depend on it), whether
     it mentions program state (``mentions_state``: constants-only
@@ -149,7 +149,7 @@ class DuelSession:
     def __init__(self, backend, symbolic: bool = True,
                  float_format: str = "%.3f", fold: int = DEFAULT_FOLD,
                  max_steps: int = 10_000_000, cycle_mode: str = "stop",
-                 optimize: bool = False, deadline_ms=_KEEP_DEFAULT,
+                 deadline_ms=_KEEP_DEFAULT,
                  max_lines=_KEEP_DEFAULT,
                  metrics: Optional[MetricsRegistry] = None,
                  page_cache=None):
@@ -160,18 +160,14 @@ class DuelSession:
                                    max_lines=max_lines)
         #: The per-query resource governor (limits, counters, ^C token).
         self.governor = self.options.governor
-        #: Compile-time constant folding (paper §Implementation: "could
-        #: be done at compile time"); display text is preserved.
-        self.optimize = optimize
         self.evaluator = Evaluator(backend, self.options)
         #: Target page-cache policy (``--page-cache``): None/'off'
-        #: leaves the chain untouched, 'demand'/'adaptive' (or a
+        #: leaves the chain untouched, 'demand' (or a
         #: :class:`~repro.target.pagecache.PageCachePolicy`) splices
         #: a :class:`~repro.target.pagecache.PageCachingBackend` in.
         if isinstance(page_cache, str):
             from repro.target.pagecache import parse_policy
-            page_cache = None if page_cache == "off" \
-                else parse_policy(page_cache)
+            page_cache = parse_policy(page_cache)
         self.page_cache_policy = page_cache
         if page_cache is not None:
             self.evaluator.set_page_cache(page_cache)
@@ -229,15 +225,11 @@ class DuelSession:
 
     # -- compiling ------------------------------------------------------
     def compile(self, text: str) -> N.Node:
-        """Parse one DUEL input line into an AST (folded if enabled).
+        """Parse one DUEL input line into an AST.
 
         The one function that parses query text; queries reach it
         through :meth:`prepare`, which calls it once per text."""
-        node = self.parser.parse(text)
-        if self.optimize:
-            from repro.core.optimize import fold as fold_constants
-            node = fold_constants(node)
-        return node
+        return self.parser.parse(text)
 
     def prepare(self, text: str) -> Prepared:
         """The :class:`Prepared` entry for ``text``, compiled at most
@@ -610,16 +602,14 @@ class DuelSession:
             return {}
         stats = record.stats
         report = {
-            "mode": cache.policy.mode,
+            "mode": "demand",
             "page_size": cache.policy.page_size,
             "capacity": cache.policy.capacity,
             "hits": stats.get("cache_hits", 0),
             "misses": stats.get("cache_misses", 0),
             "physical_reads": stats.get("physical_reads", 0),
             "logical_reads": stats.get("reads", 0),
-            "prefetched_bytes": stats.get("prefetched_bytes", 0),
             "measured_hit_rate": stats.get("cache_hit_rate", 0.0),
-            "pattern": cache.stats()["pattern"],
         }
         if record.access_records:
             from repro.obs.access import simulate_page_cache

@@ -27,8 +27,9 @@ and turns the raw access stream into answers:
 * :func:`simulate_page_cache` / :func:`advise` — the **prefetch
   advisor**: replay the recorded trace through a simulated LRU page
   cache, sweeping page size × capacity, and report the projected hit
-  rate each configuration would have had.  This quantifies ROADMAP
-  item 1's page-cache/prefetcher win *before* anyone builds it;
+  rate each configuration would have had.  A demand page cache
+  (:mod:`repro.target.pagecache`) is that LRU, so the ``accesses``
+  report sets its measured hit rate beside the projection;
 * :class:`AccessLog` — ``--access-trace`` JSONL export with the same
   head-based 1-in-N sampling discipline as the request-trace log.
 
@@ -396,10 +397,6 @@ def render_report(text: str, profile: dict,
                 f"  advisor projection at this point: "
                 f"{projected * 100:.1f}% hits "
                 f"(measured {gap * 100:+.1f}pp vs projected)")
-        if cache.get("prefetched_bytes"):
-            lines.append(
-                f"  prefetched {cache['prefetched_bytes']}B ahead of "
-                f"use (pattern: {cache['pattern']})")
     return lines
 
 

@@ -251,8 +251,7 @@ class MetricsRegistry:
         self.counter("string_cache_misses").inc(misses)
         if "physical_reads" in stats:        # the page cache is on
             for name in ("cache_hits", "cache_misses", "cache_evictions",
-                         "physical_reads", "prefetched_bytes",
-                         "prefetch_hits"):
+                         "physical_reads"):
                 self.counter(name).inc(stats[name])
             self.gauge("cache_hit_rate").set(
                 round(self.cache_rate("cache"), 4))

@@ -95,15 +95,15 @@ def cache_panel(health: dict, statements: dict,
     """The page-cache panel lines (pure function, test-friendly).
 
     The health reply's ``cache`` section — policy, fleet-wide hit
-    rate, logical vs. physical read totals, prefetch traffic — plus
-    the statement shapes that ran cached, so an operator sees at a
-    glance which query shapes the cache is (or is not) absorbing.
+    rate, logical vs. physical read totals — plus the statement
+    shapes that ran cached, so an operator sees at a glance which
+    query shapes the cache is (or is not) absorbing.
     """
     cache = health.get("cache") or {}
     policy = cache.get("policy", "off")
     if policy == "off":
         return ["page cache: off (start the server with "
-                "--page-cache demand|adaptive)"]
+                "--page-cache demand)"]
     lines = [f"page cache: {policy}, {cache.get('page_size', '?')}B × "
              f"{cache.get('capacity', '?')} pages — "
              f"{cache.get('hit_rate', 0.0) * 100:.1f}% hits "
@@ -115,9 +115,7 @@ def cache_panel(health: dict, statements: dict,
     saved = (f", {logical / physical:.1f}x fewer reads"
              if physical else "")
     lines.append(f"  reads: {logical} logical → {physical} physical"
-                 f"{saved}; prefetched "
-                 f"{cache.get('prefetched_bytes', 0)}B "
-                 f"({cache.get('prefetch_hits', 0)} used)")
+                 f"{saved}")
     rows = [row for row in statements.get("rows", [])
             if row.get("cached_calls")]
     if rows:

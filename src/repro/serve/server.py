@@ -708,7 +708,7 @@ class DuelServer:
         """
         policy = self.sessions.page_cache_policy()
         section: dict = {
-            "policy": policy.mode if policy is not None else "off"}
+            "policy": "demand" if policy is not None else "off"}
         if policy is not None:
             section["page_size"] = policy.page_size
             section["capacity"] = policy.capacity
@@ -726,10 +726,6 @@ class DuelServer:
                     self.metrics.counter("physical_reads").value,
                 "logical_reads":
                     self.metrics.counter("target_reads_total").value,
-                "prefetched_bytes":
-                    self.metrics.counter("prefetched_bytes").value,
-                "prefetch_hits":
-                    self.metrics.counter("prefetch_hits").value,
             })
         return section
 
@@ -1766,7 +1762,6 @@ def run_server(ns, program, limit_kwargs: dict, out,
             return 1
     session_kwargs = dict(limit_kwargs)
     session_kwargs["symbolic"] = not ns.no_symbolic
-    session_kwargs["optimize"] = ns.optimize
     page_cache = getattr(ns, "page_cache_policy", None)
     if page_cache is not None:
         session_kwargs["page_cache"] = page_cache

@@ -389,7 +389,7 @@ class SessionManager:
         policy = self._session_kwargs.get("page_cache")
         if isinstance(policy, str):
             from repro.target.pagecache import parse_policy
-            policy = None if policy == "off" else parse_policy(policy)
+            policy = parse_policy(policy)
         return policy
 
     def _journal_append(self, kind: str, **fields) -> None:

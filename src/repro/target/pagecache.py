@@ -1,4 +1,4 @@
-"""Page-granular target read cache with an adaptive prefetcher.
+"""Page-granular target read cache (demand paging).
 
 The classic remote-debugger amortization (Hanson's revisited machine-
 independent debugger): the evaluator asks the target for 4 and 8 byte
@@ -28,23 +28,17 @@ so the check-then-serve sequence can never interleave with a foreign
 write — each session's private cache stays coherent without any
 cross-session protocol beyond the counter.
 
-The prefetcher consumes the PR 9 scan classifier *online*: it keeps a
-small stride window over recent logical reads and, on a miss during a
-``sequential``/``strided`` scan, extends the bulk fill to the pages
-the dominant stride predicts next (stride-aware: a sparse stride
-skips pages a contiguous scan would fetch).  ``pointer-chase`` and
-``random`` patterns never prefetch — a chase's next address lives in
-memory it has not read yet, so speculation only pollutes the LRU.
-
-Policy is static per session: ``off`` (not even constructed — the
-evaluator splices the hop out exactly like the access tracer, so the
-off-path cost is zero), ``demand`` (cache, no speculation), or
-``adaptive`` (cache + prefetch).
+Pages are fetched only when a read demands them: an LRU of pages,
+which is exactly what the access observatory's advisor
+(:func:`~repro.obs.access.simulate_page_cache`) projects.  Policy is
+static per session: ``off`` (not even constructed — the evaluator
+splices the hop out exactly like the access tracer, so the off-path
+cost is zero) or ``demand``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.target.memory import TargetMemoryFault
@@ -54,47 +48,35 @@ from repro.target.memory import TargetMemoryFault
 DEFAULT_PAGE_SIZE = 256
 #: Default capacity in pages (64 × 256 B = 16 KiB resident).
 DEFAULT_CAPACITY = 64
-#: Logical reads remembered for online stride classification.
-STRIDE_WINDOW = 48
-#: How many *pages* a regular scan prefetches ahead of use (bounded
-#: by half the capacity, so speculation can never evict the demand
-#: working set wholesale).
-PREFETCH_PAGES = 8
-#: Reclassify every N logical reads (classification is cheap but not
-#: free; patterns do not change faster than this).
-CLASSIFY_EVERY = 16
-
-MODES = ("off", "demand", "adaptive")
 
 
 @dataclass(frozen=True)
 class PageCachePolicy:
-    """Static page-cache configuration (the ``--page-cache`` knob)."""
+    """Static page-cache configuration (``--page-cache demand``): a
+    policy means demand caching; no policy means no cache."""
 
-    mode: str = "adaptive"
     page_size: int = DEFAULT_PAGE_SIZE
     capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(
-                f"page-cache mode must be one of {'|'.join(MODES)}, "
-                f"not {self.mode!r}")
         if self.page_size < 8 or self.page_size & (self.page_size - 1):
             raise ValueError("page size must be a power of two >= 8")
         if self.capacity < 1:
             raise ValueError("page-cache capacity must be >= 1")
 
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
 
 def parse_policy(mode: str, page_size: int = DEFAULT_PAGE_SIZE,
-                 capacity: int = DEFAULT_CAPACITY) -> PageCachePolicy:
-    """Build a policy from CLI-ish inputs (raises ``ValueError``)."""
-    return PageCachePolicy(mode=str(mode).lower(), page_size=page_size,
-                           capacity=capacity)
+                 capacity: int = DEFAULT_CAPACITY) -> PageCachePolicy | None:
+    """The policy a ``--page-cache`` mode names: None for ``off``, a
+    :class:`PageCachePolicy` for ``demand`` (raises ``ValueError``
+    for any other mode or a bad size)."""
+    mode = str(mode).lower()
+    if mode == "off":
+        return None
+    if mode != "demand":
+        raise ValueError(
+            f"page-cache mode must be off or demand, not {mode!r}")
+    return PageCachePolicy(page_size=page_size, capacity=capacity)
 
 
 class PageCachingBackend:
@@ -109,10 +91,9 @@ class PageCachingBackend:
     """
 
     def __init__(self, inner, policy: PageCachePolicy, epoch_source):
-        if not policy.enabled:
-            raise ValueError("PageCachingBackend requires mode "
-                             "'demand' or 'adaptive' (off means: do "
-                             "not construct one)")
+        if policy is None:
+            raise ValueError("PageCachingBackend requires a policy "
+                             "(off means: do not construct one)")
         self.inner = inner
         self.policy = policy
         self._epoch_source = epoch_source
@@ -123,17 +104,6 @@ class PageCachingBackend:
         self._capacity = policy.capacity
         self._pages: OrderedDict[int, bytes] = OrderedDict()
         self._epoch = epoch_source()
-        self._adaptive = policy.mode == "adaptive"
-        # -- online stride classifier state (adaptive only) --------------
-        self._last_addr: int | None = None
-        self._deltas: deque[int] = deque(maxlen=STRIDE_WINDOW)
-        self._stride_counts: Counter = Counter()
-        self._sizes: Counter = Counter()
-        self._size_window: deque[int] = deque(maxlen=STRIDE_WINDOW)
-        self._reads_since_classify = 0
-        self._pattern = "scalar"
-        self._stride = 0
-        self._prefetched: set[int] = set()
         # -- counters ----------------------------------------------------
         self.hits = 0
         self.misses = 0
@@ -141,9 +111,6 @@ class PageCachingBackend:
         self.flushes = 0
         self.physical_reads = 0
         self.physical_bytes = 0
-        self.prefetched_pages = 0
-        self.prefetched_bytes = 0
-        self.prefetch_hits = 0
         self.uncacheable = 0
 
     def __getattr__(self, name):
@@ -155,7 +122,6 @@ class PageCachingBackend:
         lazy epoch-mismatch path)."""
         if self._pages:
             self._pages.clear()
-            self._prefetched.clear()
             self.flushes += 1
         self._epoch = self._epoch_source()
 
@@ -168,11 +134,8 @@ class PageCachingBackend:
             # target-call side effects.  Drop everything.
             if self._pages:
                 self._pages.clear()
-                self._prefetched.clear()
                 self.flushes += 1
             self._epoch = epoch
-        if self._adaptive:
-            self._observe(address, size)
         shift = self._shift
         first = address >> shift
         last = (address + size - 1) >> shift
@@ -182,9 +145,6 @@ class PageCachingBackend:
             if data is not None:
                 self.hits += 1
                 pages.move_to_end(first)
-                if first in self._prefetched:
-                    self._prefetched.discard(first)
-                    self.prefetch_hits += 1
                 offset = address - (first << shift)
                 return data[offset:offset + size]
             return self._fill(first, last, address, size)
@@ -195,9 +155,6 @@ class PageCachingBackend:
             for page in range(first, last + 1):
                 data = pages[page]
                 pages.move_to_end(page)
-                if page in self._prefetched:
-                    self._prefetched.discard(page)
-                    self.prefetch_hits += 1
                 base = page << shift
                 lo = max(address, base) - base
                 hi = min(address + size, base + self._page_size) - base
@@ -214,7 +171,6 @@ class PageCachingBackend:
         last = (address + max(len(data), 1) - 1) >> shift
         for page in range(address >> shift, last + 1):
             self._pages.pop(page, None)
-            self._prefetched.discard(page)
         if self._epoch == before:
             # No foreign mutation intervened: our own write-through
             # invalidation covers the delta, so resync instead of
@@ -224,18 +180,14 @@ class PageCachingBackend:
     # -- miss path -------------------------------------------------------
     def _fill(self, first: int, last: int, address: int,
               size: int) -> bytes:
-        """One miss: bulk-read every missing page in ``[first, last]``
-        (plus predicted pages under adaptive policy) and serve."""
+        """One miss: bulk-read every missing page in ``[first, last]``,
+        then serve the range."""
         self.misses += 1
         pages = self._pages
         shift = self._shift
         page_size = self._page_size
         wanted = [p for p in range(first, last + 1) if p not in pages]
-        prefetch: list[int] = []
-        if self._adaptive and self._stride:
-            prefetch = self._predict(address, size, first, last)
-        fetched_prefetch: set[int] = set()
-        for run_start, run_len in _runs(sorted(set(wanted) | set(prefetch))):
+        for run_start, run_len in _runs(wanted):
             base = run_start << shift
             length = run_len << shift
             try:
@@ -243,8 +195,7 @@ class PageCachingBackend:
             except TargetMemoryFault:
                 # The page run pads past a region boundary (or the
                 # demanded range itself is unmapped).  Retry page by
-                # page so a bad speculative page can't fail a good
-                # demand read, then fall back to the exact range.
+                # page, then fall back to the exact range.
                 blob = None
             if blob is not None:
                 self.physical_reads += 1
@@ -254,12 +205,8 @@ class PageCachingBackend:
                     pages[page] = blob[index << shift:
                                        (index + 1) << shift]
                     pages.move_to_end(page)
-                    if page in prefetch and page not in wanted:
-                        fetched_prefetch.add(page)
                 continue
             for page in range(run_start, run_start + run_len):
-                if page in pages:
-                    continue
                 base = page << shift
                 try:
                     blob = self._inner_get(base, page_size)
@@ -269,15 +216,8 @@ class PageCachingBackend:
                 self.physical_bytes += page_size
                 pages[page] = blob
                 pages.move_to_end(page)
-                if page in prefetch and page not in wanted:
-                    fetched_prefetch.add(page)
-        if fetched_prefetch:
-            self._prefetched |= fetched_prefetch
-            self.prefetched_pages += len(fetched_prefetch)
-            self.prefetched_bytes += len(fetched_prefetch) * page_size
         while len(pages) > self._capacity:
-            evicted, _ = pages.popitem(last=False)
-            self._prefetched.discard(evicted)
+            pages.popitem(last=False)
             self.evictions += 1
         if any(p not in pages for p in range(first, last + 1)):
             # Some demanded page would not fill whole (region edge or
@@ -298,89 +238,6 @@ class PageCachingBackend:
             parts.append(data[lo:hi])
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    # -- online classification / prediction ------------------------------
-    def _observe(self, address: int, size: int) -> None:
-        last = self._last_addr
-        self._last_addr = address
-        if len(self._size_window) == STRIDE_WINDOW:
-            old = self._size_window[0]
-            self._sizes[old] -= 1
-            if not self._sizes[old]:
-                del self._sizes[old]
-        self._size_window.append(size)
-        self._sizes[size] += 1
-        if last is not None:
-            delta = address - last
-            if delta:
-                if len(self._deltas) == STRIDE_WINDOW:
-                    old = self._deltas[0]
-                    self._stride_counts[old] -= 1
-                    if not self._stride_counts[old]:
-                        del self._stride_counts[old]
-                self._deltas.append(delta)
-                self._stride_counts[delta] += 1
-        self._reads_since_classify += 1
-        if self._reads_since_classify >= CLASSIFY_EVERY:
-            self._reads_since_classify = 0
-            self._classify()
-
-    def _classify(self) -> None:
-        from repro.obs.access import classify_pattern
-        deltas = len(self._deltas)
-        if not deltas:
-            self._pattern, self._stride = "scalar", 0
-            return
-        dominant_size = self._sizes.most_common(1)[0][0]
-        # Revisit tracking needs an unbounded seen-set; the cache only
-        # uses the classifier to separate regular scans from
-        # everything else, and chase-vs-random both mean "demand
-        # only", so 0.0 is a safe stand-in.
-        pattern = classify_pattern(self._stride_counts, deltas,
-                                   dominant_size, 0.0)
-        if pattern in ("sequential", "strided"):
-            self._pattern = pattern
-            self._stride = self._stride_counts.most_common(1)[0][0]
-        else:
-            self._pattern = pattern
-            self._stride = 0
-
-    def _predict(self, address: int, size: int, first: int,
-                 last: int) -> list[int]:
-        """Pages the dominant stride says the scan touches next.
-
-        Stride-aware in both regimes: a dense scan (|stride| within a
-        page) wants the next run of *consecutive* pages in scan
-        direction — the bulk fill then turns one miss into one big
-        contiguous read; a sparse stride (> page size) lands on
-        scattered pages, so only the pages the stride actually hits
-        are speculated — fetching the gaps would be pure pollution.
-        """
-        stride = self._stride
-        shift = self._shift
-        limit = min(PREFETCH_PAGES, max(1, self._capacity // 2))
-        predicted: list[int] = []
-        if abs(stride) <= self._page_size:
-            direction = 1 if stride > 0 else -1
-            edge = last if direction > 0 else first
-            for k in range(1, limit + 1):
-                page = edge + k * direction
-                if page >= 0 and page not in self._pages:
-                    predicted.append(page)
-            return predicted
-        addr = address
-        seen: set[int] = set()
-        for _ in range(4 * limit):
-            addr += stride
-            for page in (addr >> shift, (addr + size - 1) >> shift):
-                if page < 0 or first <= page <= last or page in seen:
-                    continue
-                seen.add(page)
-                if page not in self._pages:
-                    predicted.append(page)
-            if len(predicted) >= limit:
-                break
-        return predicted[:limit]
-
     # -- observability ---------------------------------------------------
     @property
     def hit_rate(self) -> float:
@@ -396,9 +253,6 @@ class PageCachingBackend:
             "cache_flushes": self.flushes,
             "physical_reads": self.physical_reads,
             "physical_bytes": self.physical_bytes,
-            "prefetched_pages": self.prefetched_pages,
-            "prefetched_bytes": self.prefetched_bytes,
-            "prefetch_hits": self.prefetch_hits,
         }
 
     def stats(self) -> dict:
@@ -407,12 +261,10 @@ class PageCachingBackend:
         return {
             **self.counters(),
             "hit_rate": round(self.hit_rate, 4),
-            "pattern": self._pattern,
-            "stride": self._stride,
             "resident_pages": len(self._pages),
             "page_size": self._page_size,
             "capacity": self._capacity,
-            "mode": self.policy.mode,
+            "mode": "demand",
             "epoch": self._epoch,
         }
 

@@ -44,7 +44,7 @@ def test_advisor_projection_matches_measured_hit_rate(page_size,
     exactly that) on a read-dominated scan: measured and projected
     hit rates agree within tolerance."""
     session = make_session(page_cache=PageCachePolicy(
-        mode="demand", page_size=page_size, capacity=capacity))
+        page_size=page_size, capacity=capacity))
     result = session.accesses(f"x[..{ARRAY}] >? 0")
     assert result["outcome"] == "done"
     report = result["cache"]
@@ -57,17 +57,17 @@ def test_advisor_projection_matches_measured_hit_rate(page_size,
 
 
 def test_cache_report_reaches_the_accesses_surface():
-    session = make_session(page_cache="adaptive")
+    session = make_session(page_cache="demand")
     result = session.accesses("x[..64] !=? 0")
     report = result["cache"]
-    assert report["mode"] == "adaptive"
+    assert report["mode"] == "demand"
     assert report["measured_hit_rate"] > 0.5
     # And the rendered report carries the measured-vs-projected line.
     from repro.obs.access import render_report
     text = "\n".join(render_report("x[..64] !=? 0", result["access"],
                                    result.get("advisor") or [],
                                    cache=report))
-    assert "page cache (adaptive" in text
+    assert "page cache (demand" in text
     assert "advisor projection" in text
 
 
@@ -100,7 +100,7 @@ class TestCoherenceHammer:
             workloads.big_array(ARRAY), workers=4, max_clients=12,
             commit_writes=True,
             session_kwargs={"page_cache": PageCachePolicy(
-                mode="adaptive", page_size=64, capacity=16)})
+                page_size=64, capacity=16)})
         server.start()
         try:
             yield server
@@ -188,7 +188,7 @@ class TestCoherenceHammer:
 # -- epoch across restarts ----------------------------------------------
 
 def test_recovered_server_serves_post_crash_truth(tmp_path):
-    policy = PageCachePolicy(mode="adaptive", page_size=64, capacity=16)
+    policy = PageCachePolicy(page_size=64, capacity=16)
     kwargs = dict(workers=2, commit_writes=True,
                   journal_fsync="off", checkpoint_interval=0.0,
                   session_kwargs={"page_cache": policy})

@@ -3,8 +3,8 @@ invisible (PR 10).
 
 The cache sits *below* the access observatory, so the logical access
 stream — the ordered (op, address, size) sequence the evaluator sends
-at the target — must be byte-identical with the cache off, on in
-demand mode, and on in adaptive mode, for both evaluation engines.
+at the target — must be byte-identical with the cache off and on (at
+two page sizes), for both evaluation engines.
 So must the values.  Only the *physical* traffic underneath may
 change.  Any divergence means the cache changed what a query reads —
 a correctness bug, not a performance artifact.
@@ -19,13 +19,12 @@ from repro.obs.access import AccessTracer
 from repro.target import builder
 from repro.target.pagecache import PageCachePolicy
 
-#: Tight policies so eviction and prefetch paths actually run under
-#: the random workload, not just the fast paths.
+#: Tight policies so eviction paths actually run under the random
+#: workload, not just the fast paths.
 POLICIES = (
     None,
-    PageCachePolicy(mode="demand", page_size=32, capacity=4),
-    PageCachePolicy(mode="adaptive", page_size=32, capacity=4),
-    PageCachePolicy(mode="adaptive", page_size=256, capacity=64),
+    PageCachePolicy(page_size=32, capacity=4),
+    PageCachePolicy(page_size=256, capacity=64),
 )
 
 
@@ -144,7 +143,7 @@ def test_cache_serves_repeat_scans_without_physical_reads(rig, text):
     session, sm = rig
     node = session.compile(text)
     evaluator = session.evaluator
-    policy = PageCachePolicy(mode="demand", page_size=256, capacity=64)
+    policy = PageCachePolicy(page_size=256, capacity=64)
     evaluator.reset()
     evaluator.set_page_cache(policy)
     try:
@@ -180,8 +179,7 @@ def test_cache_sees_writes_from_its_own_session(rig):
     builder.int_array(program, "x", list(range(16)))
     session = DuelSession(
         SimulatorBackend(program),
-        page_cache=PageCachePolicy(mode="adaptive", page_size=64,
-                                   capacity=8))
+        page_cache=PageCachePolicy(page_size=64, capacity=8))
     session.duel("x[..16]", out=io.StringIO())    # warm the cache
     session.duel("x[3] = 777", out=io.StringIO())
     out = io.StringIO()

@@ -284,10 +284,35 @@ class TestSigint:
         assert _signal.getsignal(_signal.SIGINT) is before
 
 
-class TestOptimizeFlag:
-    def test_optimize_flag_same_output(self, source):
-        plain_status, plain_text = run_cli(["-e", "values[1+1]", source])
-        opt_status, opt_text = run_cli(
-            ["--optimize", "-e", "values[1+1]", source])
-        assert plain_text == opt_text
-        assert "values[1+1] = 9" in opt_text
+class TestRemovedFlags:
+    """The constant-folding pass and the adaptive prefetcher are gone:
+    their flags are usage errors, not silently ignored."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--optimize"],
+        ["--page-cache", "adaptive"],
+    ])
+    def test_refused_by_the_argument_parser(self, source, flags, capsys):
+        with pytest.raises(SystemExit) as caught:
+            run_cli([*flags, "-e", "values[1+1]", source])
+        assert caught.value.code == 2
+        assert flags[-1] in capsys.readouterr().err
+
+
+class TestSampleFlags:
+    def test_trace_sample_zero_refused_before_serving(self, source,
+                                                      tmp_path):
+        status, text = run_cli(
+            ["--serve", "--port", "0",
+             "--trace-json", str(tmp_path / "t.jsonl"),
+             "--trace-sample", "0", source])
+        assert status == 1
+        assert text == "error: trace sample must be >= 1\n"
+
+    @pytest.mark.parametrize("flag", ["--trace-sample", "--access-sample"])
+    def test_sample_below_one_refused_without_an_export(self, source,
+                                                        flag):
+        status, text = run_cli([flag, "-1", "-e", "values[0]", source])
+        assert status == 1
+        assert text == (f"error: {flag[2:].replace('-', ' ')} "
+                        "must be >= 1\n")

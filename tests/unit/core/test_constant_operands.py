@@ -1,8 +1,10 @@
-"""Constant right operands are driven once per node activation.
+"""Constant right operands are driven once per query.
 
 ``x[..N] >? -40`` re-evaluates ``-40`` for every element in the
-paper's semantics.  The generator engine drives such an operand (only
-constants and C operators over them) once and charges each later use
+paper's semantics, and ``x[..N]#i => x[i] >? -40`` activates the
+comparison (and so its operand) once per element.  The generator
+engine drives such an operand (only constants and C operators over
+them) once per query and charges each later use, in any activation,
 what that drive charged the governor.  A traced drive (``explain``)
 still re-drives, so comparing the two pins the reuse: the same
 lines, the same counts, and every limit, truncation point and
@@ -15,11 +17,15 @@ import io
 import pytest
 
 from repro import DuelSession, SimulatorBackend, TargetProgram
+from repro.core import nodes as N_
 from repro.target import builder
 
 N = 40
 X = [(-1) ** i * (i * 37 % 101) for i in range(N)]
-QUERIES = (f"x[..{N}] >? -40", f"x[..{N}] !=? 1+2", f"x[..{N}] + -1")
+QUERIES = (f"x[..{N}] >? -40", f"x[..{N}] !=? 1+2", f"x[..{N}] + -1",
+           # One activation of the operand's parent per element.
+           f"x[..{N}]#i => x[i] >? -40", f"x[..{N}]#i => x[i] + 2*50",
+           f"x[..{N}]#i => x[i] !=? 1+2", f"x[..{N}]#i => x[i] >? 2*50-60")
 COUNTS = ("steps", "symnodes", "reads", "lookups", "lines")
 
 
@@ -68,6 +74,42 @@ def test_reference_output(session):
     assert session.eval_values(QUERIES[0]) == [v for v in X if v > -40]
     assert session.eval_values(QUERIES[1]) == [v for v in X if v != 3]
     assert session.eval_values(QUERIES[2]) == [v - 1 for v in X]
+    assert session.eval_values(QUERIES[3]) == [v for v in X if v > -40]
+    assert session.eval_values(QUERIES[4]) == [v + 100 for v in X]
+    assert session.eval_values(QUERIES[5]) == [v for v in X if v != 3]
+    assert session.eval_values(QUERIES[6]) == [v for v in X if v > 40]
+    assert session.eval_lines(QUERIES[4])[1] == "x[i]+2*50 = 63"
+
+
+def test_operand_is_driven_once_per_query_not_per_activation(session):
+    """``2*50+400`` sits under ``=>``: N activations of ``>?``, one
+    drive of the operand, and one again for the next query."""
+    evaluator = session.evaluator
+    plain = evaluator._dispatch[N_.Constant]
+    drives = []
+
+    def counting(node):
+        drives.append(node.value)
+        return plain(node)
+    evaluator._dispatch[N_.Constant] = counting
+    text = f"x[..{N}]#i => x[i] >? 2*50+400"
+    assert session.eval_values(text) == []
+    assert drives.count(400) == 1
+    session.eval_values(text)
+    assert drives.count(400) == 2
+
+
+def test_nothing_carries_over_a_symbolic_switch(session):
+    text = QUERIES[4]
+    symbolic = drive(session, text, trace=False)
+    session.options.symbolic = False
+    plain = drive(session, text, trace=False)
+    program = TargetProgram()
+    builder.int_array(program, "x", X)
+    fresh = DuelSession(SimulatorBackend(program), symbolic=False)
+    assert plain == drive(fresh, text, trace=False)
+    assert plain[2]["symnodes"] == 0 < symbolic[2]["symnodes"]
+    assert plain[0] == [str(v + 100) for v in X]
 
 
 @pytest.mark.parametrize("limit", ("steps", "symnodes"))
@@ -114,10 +156,11 @@ def test_cancellation_checkpoint_matches():
 
 
 def test_faulting_operand_faults_at_first_left_value(session):
-    untraced, traced = both(session, "x[..3] >? 1/0")
-    assert untraced == traced
-    assert untraced[1] == "faulted"
-    assert "division by zero" in untraced[3]
+    for text in ("x[..3] >? 1/0", "x[..3]#i => x[i] >? 1/0"):
+        untraced, traced = both(session, text)
+        assert untraced == traced
+        assert untraced[1] == "faulted"
+        assert "division by zero" in untraced[3]
 
 
 def test_faulting_operand_never_driven_without_left_values(session):

@@ -96,6 +96,8 @@ class TestSessionDisplay:
 
     def test_stateful_prints_sym_equals_value(self, array_session):
         assert array_session.eval_lines("x[2]") == ["x[2] = 7"]
+        # A constant index keeps its source spelling.
+        assert array_session.eval_lines("x[1+2]") == ["x[1+2] = 0"]
 
     def test_reduction_prints_bare_value(self, array_session):
         assert array_session.eval_lines("#/(x[..10])") == ["10"]

@@ -3,10 +3,9 @@
 Exercises :class:`~repro.target.pagecache.PageCachingBackend` against
 a deterministic fake inner backend — policy validation, demand hits
 and misses, single-bulk-read fills, LRU eviction, write-through
-invalidation with epoch resync, foreign-epoch flushes, adaptive
-prefetch on regular scans (and its absence on irregular ones), and
-the region-edge fallback that keeps fault semantics byte-identical to
-the uncached chain.  Also the epoch plumbing underneath: ``Memory``
+invalidation with epoch resync, foreign-epoch flushes, and the
+region-edge fallback that keeps fault semantics byte-identical to the
+uncached chain.  Also the epoch plumbing underneath: ``Memory``
 bumps on every mutation, snapshots carry the epoch, restore advances
 past it.
 """
@@ -61,10 +60,9 @@ class FakeInner:
         return bytes(self.data[offset:offset + size])
 
 
-def make_cache(mode="demand", page_size=64, capacity=8):
+def make_cache(page_size=64, capacity=8):
     inner = FakeInner()
-    policy = PageCachePolicy(mode=mode, page_size=page_size,
-                             capacity=capacity)
+    policy = PageCachePolicy(page_size=page_size, capacity=capacity)
     cache = PageCachingBackend(inner, policy, lambda: inner.epoch)
     return inner, cache
 
@@ -73,7 +71,7 @@ def make_cache(mode="demand", page_size=64, capacity=8):
 
 def test_policy_rejects_bad_mode():
     with pytest.raises(ValueError):
-        PageCachePolicy(mode="aggressive")
+        parse_policy("aggressive")
 
 
 @pytest.mark.parametrize("page_size", [0, 4, 100, 257])
@@ -88,18 +86,24 @@ def test_policy_rejects_bad_capacity():
 
 
 def test_parse_policy_defaults_and_normalization():
-    policy = parse_policy("ADAPTIVE")
-    assert policy.mode == "adaptive"
+    policy = parse_policy("DEMAND")
     assert policy.page_size == DEFAULT_PAGE_SIZE
     assert policy.capacity == DEFAULT_CAPACITY
-    assert policy.enabled
-    assert not parse_policy("off").enabled
+
+
+def test_parse_policy_off_is_no_cache_and_adaptive_is_gone():
+    """``off`` names no policy; the adaptive prefetcher was removed,
+    so its mode is refused like any unknown one."""
+    assert parse_policy("off") is None
+    assert parse_policy("Off", page_size=3) is None
+    with pytest.raises(ValueError):
+        parse_policy("adaptive")
 
 
 def test_backend_refuses_off_policy():
     inner = FakeInner()
     with pytest.raises(ValueError):
-        PageCachingBackend(inner, PageCachePolicy(mode="off"), lambda: 0)
+        PageCachingBackend(inner, parse_policy("off"), lambda: 0)
 
 
 # -- demand caching ------------------------------------------------------
@@ -205,63 +209,6 @@ def test_invalidate_all_drops_pages_and_resyncs():
     assert cache.flushes == 1                  # no second (lazy) flush
 
 
-# -- adaptive prefetch ---------------------------------------------------
-
-def sequential_scan(cache, base, count, stride=4, size=4):
-    for index in range(count):
-        cache.get_target_bytes(base + index * stride, size)
-
-
-def test_adaptive_prefetches_sequential_scan():
-    inner, cache = make_cache(mode="adaptive", capacity=32)
-    base = FakeInner.BASE
-    sequential_scan(cache, base, 512)          # 2 KiB, 32 pages' worth
-    assert cache.prefetched_pages > 0
-    assert cache.prefetch_hits > 0
-    # Far fewer physical than logical reads, and fewer than the
-    # demand policy's one-miss-per-page floor (32 pages touched).
-    assert cache.physical_reads < 32
-    assert cache.stats()["pattern"] == "sequential"
-
-
-def test_adaptive_beats_demand_on_same_scan():
-    demand_inner, demand = make_cache(mode="demand", capacity=32)
-    adaptive_inner, adaptive = make_cache(mode="adaptive", capacity=32)
-    sequential_scan(demand, FakeInner.BASE, 512)
-    sequential_scan(adaptive, FakeInner.BASE, 512)
-    assert adaptive.physical_reads < demand.physical_reads
-    # Both served identical bytes.
-    assert demand_inner.data == adaptive_inner.data
-
-
-def test_irregular_accesses_never_prefetch():
-    inner, cache = make_cache(mode="adaptive", capacity=32)
-    base = FakeInner.BASE
-    # A deterministic pseudo-random walk: no dominant stride.
-    address = 0
-    for index in range(200):
-        address = (address * 1103515245 + 12345 + index) % 4000
-        cache.get_target_bytes(base + address, 4)
-    assert cache.stats()["pattern"] in ("random", "pointer-chase")
-    assert cache.prefetched_pages == 0
-
-
-def test_sparse_stride_prefetches_only_landing_pages():
-    inner, cache = make_cache(mode="adaptive", page_size=64,
-                              capacity=32)
-    base = FakeInner.BASE
-    sequential_scan(cache, base, 30, stride=128, size=4)  # 2 pages apart
-    # Speculated pages are exactly where the stride lands — the gap
-    # page between consecutive touches was never fetched.
-    fetched_pages = set()
-    for address, size in inner.gets:
-        first = (address - FakeInner.BASE) // 64
-        fetched_pages.update(range(first, first + max(size // 64, 1)))
-    landing = {(index * 128) // 64 for index in range(80)}
-    assert fetched_pages <= landing
-    assert cache.prefetched_pages > 0
-
-
 # -- fault semantics -----------------------------------------------------
 
 def test_region_edge_fill_falls_back_and_serves():
@@ -296,7 +243,7 @@ def test_unaligned_region_edge_serves_uncached():
 
 
 def test_cached_bytes_match_inner_exactly():
-    inner, cache = make_cache(mode="adaptive", page_size=64, capacity=4)
+    inner, cache = make_cache(page_size=64, capacity=4)
     base = FakeInner.BASE
     probes = [(0, 1), (63, 2), (64, 64), (100, 200), (1, 7),
               (4000, 96), (128, 1), (3000, 300), (0, 256)]

@@ -305,7 +305,7 @@ class TestInPlaceRestore:
         builder.int_array(program, "x", [5, 6, 7])
         address = program.lookup("x").address
         cache = PageCachingBackend(SimulatorBackend(program),
-                                   PageCachePolicy(mode="demand"),
+                                   PageCachePolicy(),
                                    lambda: program.memory.epoch)
         snap = snapshot.take(program)
         program.memory.write(address, (9).to_bytes(4, "little"))
