@@ -17,6 +17,7 @@ node's values lazily; the top-level "drive" loop lives in
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.ctype.declparse import DeclParser, TypeEnv
@@ -219,13 +220,13 @@ class Evaluator:
             N.CompareYield: self._eval_compare_yield,
             N.Alternate: self._eval_alternate,
             N.To: self._eval_to,
-            N.AndAnd: self._eval_andand,
-            N.OrOr: self._eval_oror,
-            N.If: self._eval_if,
+            N.AndAnd: self._eval_branch,
+            N.OrOr: self._eval_branch,
+            N.If: self._eval_branch,
             N.While: self._eval_while,
             N.For: self._eval_for,
             N.Sequence: self._eval_sequence,
-            N.Imply: self._eval_imply,
+            N.Imply: self._eval_branch,
             N.Define: self._eval_define,
             N.Declaration: self._eval_declaration,
             N.With: self._eval_with,
@@ -376,14 +377,9 @@ class Evaluator:
     # ==================================================================
     # leaves
     # ==================================================================
-    def constant_value(self, node: N.Constant) -> DuelValue:
-        """The single value of a constant node (shared by both engines)."""
-        ctype = _CONST_TYPES[node.type_hint]
-        sym = self._sym(lambda: SymText(node.text or str(node.value)))
-        return rvalue(ctype, node.value, sym)
-
     def _eval_constant(self, node: N.Constant):
-        yield self.constant_value(node)
+        sym = self._sym(lambda: SymText(node.text or str(node.value)))
+        yield rvalue(_CONST_TYPES[node.type_hint], node.value, sym)
 
     def _eval_string(self, node: N.StringLiteral):
         address = self._string_cache.get(node.value)
@@ -414,20 +410,10 @@ class Evaluator:
     # ==================================================================
     def _eval_unary(self, node: N.Unary):
         for u in self.eval(node.kid):
-            if node.operator == "-":
-                yield self.apply.negate(u)
-            elif node.operator == "+":
-                yield self.apply.plus(u)
-            elif node.operator == "!":
-                yield self.apply.lognot(u)
-            elif node.operator == "~":
-                yield self.apply.bitnot(u)
-            elif node.operator == "*":
-                yield self.apply.deref(u)
-            elif node.operator == "&":
-                yield self.apply.addressof(u)
-            else:  # pragma: no cover
-                raise DuelError(f"unknown unary {node.operator!r}")
+            yield self._unary(node, u)
+
+    def _unary(self, node: N.Unary, u: DuelValue) -> DuelValue:
+        return getattr(self.apply, _UNARY[node.operator])(u)
 
     def _eval_incdec(self, node: N.IncDec):
         for u in self.eval(node.kid):
@@ -446,13 +432,14 @@ class Evaluator:
     def _eval_assign(self, node: N.Assign):
         for u in self.eval(node.left):
             for v in self.eval(node.right):
-                sym = self._sym(lambda: SymBinary(
-                    node.operator, u.sym, v.sym, PREC_ASSIGN))
-                if node.operator == "=":
-                    yield self.apply.assign(u, v, sym)
-                else:
-                    yield self.apply.compound_assign(
-                        node.operator[:-1], u, v, sym)
+                yield self._assign(node, u, v)
+
+    def _assign(self, node: N.Assign, u: DuelValue, v: DuelValue) -> DuelValue:
+        sym = self._sym(lambda: SymBinary(
+            node.operator, u.sym, v.sym, PREC_ASSIGN))
+        if node.operator == "=":
+            return self.apply.assign(u, v, sym)
+        return self.apply.compound_assign(node.operator[:-1], u, v, sym)
 
     def _eval_compare_yield(self, node: N.CompareYield):
         # Paper IFGT...: yields the *left* operand when the test holds.
@@ -545,29 +532,32 @@ class Evaluator:
                                 v.sym.render())
         return int(loaded)
 
-    def _eval_andand(self, node: N.AndAnd):
-        # case ANDAND: e2's values for each non-zero value of e1.
-        for u in self.eval(node.left):
-            if self.ops.truthy(u):
-                yield from self.eval(node.right)
+    def _eval_branch(self, node: N.Node):
+        # case IF, ANDAND, OROR, IMPLY: each value of the condition (the
+        # first kid) picks what follows it, see _branch.
+        for u in self.eval(node.kids[0]):
+            picked = self._branch(node, u)
+            if isinstance(picked, DuelValue):
+                yield picked
+            elif picked is not None:
+                yield from self.eval(picked)
 
-    def _eval_oror(self, node: N.OrOr):
-        # Dual of ANDAND, consistent with C when single-valued: e1's
-        # non-zero values pass through as 1; zero values of e1 produce
-        # e2's values.
-        for u in self.eval(node.left):
-            if self.ops.truthy(u):
-                yield rvalue(INT, 1, u.sym)
-            else:
-                yield from self.eval(node.right)
+    def _branch(self, node: N.Node, u: DuelValue):
+        """What one condition value ``u`` of a branching operator
+        produces: a subexpression whose values follow, a value, or None.
 
-    def _eval_if(self, node: N.If):
-        # case IF.
-        for u in self.eval(node.cond):
-            if self.ops.truthy(u):
-                yield from self.eval(node.then)
-            elif node.els is not None:
-                yield from self.eval(node.els)
+        ``e1 && e2`` gives e2's values for each non-zero value of e1;
+        its dual ``e1 || e2``, consistent with C when single-valued,
+        gives 1 for a non-zero value and e2's values for a zero one.
+        """
+        if isinstance(node, N.Imply):
+            return node.right
+        truthy = self.ops.truthy(u)
+        if isinstance(node, N.If):
+            return node.then if truthy else node.els
+        if isinstance(node, N.AndAnd):
+            return node.right if truthy else None
+        return rvalue(INT, 1, u.sym) if truthy else node.right
 
     def _eval_while(self, node: N.While):
         # case WHILE: e2 repeats as long as every value of e1 is non-zero.
@@ -600,17 +590,15 @@ class Evaluator:
         if node.right is not None:
             yield from self.eval(node.right)
 
-    def _eval_imply(self, node: N.Imply):
-        # case IMPLY: e2's values for each value of e1.
-        for _u in self.eval(node.left):
-            yield from self.eval(node.right)
-
     def _eval_define(self, node: N.Define):
         # case DEFINE: alias the name to each value in turn.
         for u in self.eval(node.kid):
-            self.scope.alias(node.name, u)
-            yield u.with_sym(
-                SymText(node.name) if self.options.symbolic else _NO_SYM)
+            yield self._define(node, u)
+
+    def _define(self, node: N.Define, u: DuelValue) -> DuelValue:
+        self.scope.alias(node.name, u)
+        return u.with_sym(
+            SymText(node.name) if self.options.symbolic else _NO_SYM)
 
     def _eval_declaration(self, node: N.Declaration):
         # "Duel declarations ... establish aliases to newly allocated
@@ -634,69 +622,71 @@ class Evaluator:
     # ==================================================================
     # with / expansion
     # ==================================================================
-    def _with_operand(self, u: DuelValue, arrow: bool) -> Optional[DuelValue]:
-        """The value pushed for e1 in e1.e2 / e1->e2 / e1-->e2.
+    def _push_with(self, u: DuelValue, arrow: bool) -> bool:
+        """Push the scope entry for e1's value ``u`` in e1.e2, e1->e2;
+        False when there is none.
 
         A NULL pointer on the left of ``->`` generates nothing (the
         paper's ``hash[0..1023]->scope = 0 ;`` clears the head of each
         *non-empty* list); a non-null but unmapped pointer raises the
         paper's "Illegal memory reference" error.
         """
+        operand = u
         if arrow:
             stripped = u.ctype.strip_typedefs()
             if isinstance(stripped, ArrayType):
                 # Arrays of records: a->f behaves like a[0].f in C.
-                return lvalue(stripped.element, u.address, u.sym)
-            if (isinstance(stripped, PointerType)
+                operand = lvalue(stripped.element, u.address, u.sym)
+            elif (isinstance(stripped, PointerType)
                     and int(self.ops.load(u)) == 0):
-                return None
-            return self.apply.deref(u, sym=u.sym, pattern="x->y")
-        return u
+                return False
+            else:
+                operand = self.apply.deref(u, sym=u.sym, pattern="x->y")
+        self.scope.push(WithEntry(operand, arrow=arrow, underscore=u))
+        return True
 
     def _eval_with(self, node: N.With):
         # case WITH: evaluate e2 with e1's value pushed on the
         # name-resolution stack.
         for u in self.eval(node.left):
-            operand = self._with_operand(u, node.arrow)
-            if operand is None:
-                continue
-            self.scope.push(WithEntry(operand, arrow=node.arrow,
-                                      underscore=u))
-            try:
-                yield from self.eval(node.right)
-            finally:
-                self.scope.pop()
+            if self._push_with(u, node.arrow):
+                try:
+                    yield from self.eval(node.right)
+                finally:
+                    self.scope.pop()
 
     def _eval_expand(self, node: N.Expand):
         # case DFS (and the BFS extension): expand the data structure
         # from each root, using e2 to generate successors.
         for u in self.eval(node.root):
-            yield from self._expand_from(u, node)
+            pending, visited = self._expansion(u)
+            while pending:
+                yield self._expand_step(node, pending, visited, self.eval)
 
-    def _expand_from(self, root: DuelValue, node: N.Expand):
-        pending: deque[DuelValue] = deque()
+    def _expansion(self, root: DuelValue) -> tuple[deque, set]:
+        """The pending nodes and visited set of a new expansion."""
         visited: set[tuple] = set()
-        if self._expandable(root, visited, register=True):
-            pending.append(root)
-        while pending:
-            v = pending.popleft() if node.breadth_first else pending.pop()
-            children = []
-            operand = self._expand_operand(v)
-            if operand is not None:
-                self.scope.push(WithEntry(operand, arrow=True, chain=True,
-                                          underscore=v))
-                try:
-                    for w in self.eval(node.traversal):
-                        if self._expandable(w, visited, register=True):
-                            children.append(w)
-                finally:
-                    self.scope.pop()
-            if node.breadth_first:
-                pending.extend(children)
-            else:
-                pending.extend(reversed(children))
-            self.governor.charge("expand")
-            yield v
+        pending = deque([root] if self._expandable(root, visited) else ())
+        return pending, visited
+
+    def _expand_step(self, node: N.Expand, pending: deque, visited: set,
+                     drive: Callable[[N.Node], Iterable[DuelValue]]):
+        """Take the next node of an expansion, queue the successors that
+        ``drive(node.traversal)`` generates in its scope, and return it."""
+        v = pending.popleft() if node.breadth_first else pending.pop()
+        operand = self._expand_operand(v)
+        if operand is not None:
+            self.scope.push(WithEntry(operand, arrow=True, chain=True,
+                                      underscore=v))
+            try:
+                children = [w for w in drive(node.traversal)
+                            if self._expandable(w, visited)]
+            finally:
+                self.scope.pop()
+            pending.extend(children if node.breadth_first
+                           else reversed(children))
+        self.governor.charge("expand")
+        return v
 
     def _expand_operand(self, v: DuelValue) -> Optional[DuelValue]:
         stripped = v.ctype.strip_typedefs()
@@ -714,8 +704,9 @@ class Evaluator:
             return v
         return None
 
-    def _expandable(self, v: DuelValue, visited: set, register: bool) -> bool:
-        """Non-null, mapped, and (in "stop" mode) not yet visited."""
+    def _expandable(self, v: DuelValue, visited: set) -> bool:
+        """Non-null, mapped, and (in "stop" mode) not yet visited; a
+        node that is marks itself visited."""
         stripped = v.ctype.strip_typedefs()
         if isinstance(stripped, PointerType):
             address = int(self.ops.load(v))
@@ -731,16 +722,12 @@ class Evaluator:
             key = ("ptr", address)
         elif isinstance(stripped, RecordType) and v.is_lvalue:
             key = ("rec", v.address)
-        elif stripped.is_integer or stripped.is_float:
-            # Scalars terminate expansion unless non-null pointer-like.
-            return False
         else:
             return False
         if self.options.cycle_mode == "stop":
             if key in visited:
                 return False
-            if register:
-                visited.add(key)
+            visited.add(key)
         return True
 
     # ==================================================================
@@ -752,22 +739,24 @@ class Evaluator:
         # of e2 when possible": we pull e1 once and cache.
         cache: list[DuelValue] = []
         source = self.eval(node.seq)
-        exhausted = False
         for sel in self.eval(node.selector):
-            k = self._int_of(sel, "e1[[e2]]")
-            if k < 0:
-                continue
-            while len(cache) <= k and not exhausted:
-                try:
-                    cache.append(next(source))
-                except StopIteration:
-                    exhausted = True
-            if k < len(cache):
-                v = cache[k]
-                if self.options.symbolic:
-                    yield v.with_sym(with_lowered_fold(v.sym, 2))
-                else:
-                    yield v
+            v = self._select(sel, cache, source)
+            if v is not None:
+                yield v
+
+    def _select(self, sel: DuelValue, cache: list,
+                source: Iterator[DuelValue]) -> Optional[DuelValue]:
+        """The value ``sel`` selects from a sequence whose first values
+        ``cache`` holds and whose rest ``source`` produces, or None."""
+        k = self._int_of(sel, "e1[[e2]]")
+        if k >= len(cache):
+            cache.extend(islice(source, k + 1 - len(cache)))
+        if not 0 <= k < len(cache):
+            return None
+        v = cache[k]
+        if self.options.symbolic:
+            return v.with_sym(with_lowered_fold(v.sym, 2))
+        return v
 
     def _eval_reduce(self, node: N.Reduce):
         # Reductions substitute their computed value in the symbolic
@@ -962,6 +951,10 @@ def _drain(it: Iterator) -> None:
     for _ in it:
         pass
 
+
+#: Unary operator -> the Apply method that applies it.
+_UNARY = {"-": "negate", "+": "plus", "!": "lognot", "~": "bitnot",
+          "*": "deref", "&": "addressof"}
 
 #: Unary operators that compute from their operand's value alone.
 _VALUE_UNARY = frozenset("-+!~")

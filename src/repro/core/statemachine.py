@@ -8,31 +8,37 @@ produces one value and "goto" labels resume evaluation mid-operator
 (paper §Semantics, the numbered PLUS listing).
 
 :class:`StateMachineEvaluator` is that scheme in Python, state kept in
-a side table so ASTs stay immutable.  It covers every operator the
-paper gives a listing for — constants, names, unary/binary/assignment,
-``to``, ``alternate``, the conditional-yield comparisons, indexing,
+a side table so ASTs stay immutable.  It owns only the control: which
+operand to pull next, and when a node's sequence ends.  What a value
+means — the C semantics of each operator, the integer checks on
+bounds, symbolic output and its accounting, name-scope entries, the
+expansion step of ``-->`` — is the generator engine's code
+(:class:`~repro.core.eval.Evaluator`), called from here, so each rule
+lives in one place.  It covers every operator the paper gives a
+listing for — constants, names, unary/binary/assignment, ``to``,
+``alternate``, the conditional-yield comparisons, indexing,
 if/and-and/or-or, imply, sequence, while, select, define — plus the
 structural pair WITH and DFS, whose name-scope entries persist across
-yields exactly as the paper's push/pop bracketing implies.  Reductions,
-calls, and the other conveniences remain generator-engine-only.
+yields exactly as the paper's push/pop bracketing implies.
+Reductions, calls, and the other conveniences remain
+generator-engine-only.
 
-The A1 benchmark and the differential tests
+The two engines must be observationally identical, symbolic output
+included: the A1 benchmark and the differential tests
 (``tests/property/test_engines.py``,
-``tests/unit/core/test_statemachine.py``) hold the two engines
-observationally identical, symbolic output included.
-
-The two engines must be observationally identical; the property tests
-in ``tests/property/test_engines.py`` check exactly that.
+``tests/unit/core/test_statemachine.py``) check exactly that.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import count
 from typing import Optional
 
 from repro.core import nodes as N
 from repro.core.errors import DuelError
 from repro.core.eval import Evaluator
-from repro.core.values import DuelValue
+from repro.core.values import DuelValue, int_value
 
 #: The paper's distinguished end-of-sequence marker.
 NOVALUE = None
@@ -46,29 +52,45 @@ class _NodeState:
     def __init__(self) -> None:
         self.state = 0
         self.value: Optional[DuelValue] = None
-        self.aux = None  # iteration counters (TO) etc.
+        self.aux = None  # iteration state (TO, SELECT, DFS, branches)
 
 
 class StateMachineEvaluator:
     """Drives DUEL ASTs with the explicit state/NOVALUE protocol.
 
-    Reuses the backend plumbing (fetch, apply) of a normal
+    Reuses the backend plumbing and value semantics of a normal
     :class:`~repro.core.eval.Evaluator`; only the *control* is the
     paper's hand-compiled scheme instead of Python generators.
     """
 
-    SUPPORTED = (N.Constant, N.Name, N.Unary, N.Binary, N.CompareYield,
-                 N.To, N.Alternate, N.Index, N.If, N.AndAnd, N.OrOr,
-                 N.Imply, N.Sequence, N.While, N.Select, N.Define,
-                 N.With, N.Expand, N.Underscore, N.Assign)
-
     def __init__(self, evaluator: Evaluator):
         self.ev = evaluator
         self._states: dict[int, _NodeState] = {}
+        ev = evaluator
+        two = self._two_operands
+        # Node type -> machine.  The combine steps look each Apply
+        # method up when they run, never here: a profiler may wrap
+        # those methods on the class after this machine is built.
+        self._machines = {
+            N.Constant: self._leaf, N.Name: self._leaf,
+            N.Underscore: self._leaf,
+            N.Unary: partial(self._pointwise, ev._unary),
+            N.Define: partial(self._pointwise, ev._define),
+            N.Binary: partial(two, lambda node, u, v:
+                              ev.apply.binary(node.operator, u, v)),
+            N.Assign: partial(two, ev._assign),
+            N.CompareYield: partial(two, self._compare_yield),
+            N.Index: partial(two, lambda node, u, v: ev.apply.index(u, v)),
+            N.If: self._branching, N.AndAnd: self._branching,
+            N.OrOr: self._branching, N.Imply: self._branching,
+            N.To: self._to, N.Alternate: self._alternate,
+            N.Sequence: self._sequence, N.While: self._while,
+            N.Select: self._select, N.With: self._with, N.Expand: self._dfs,
+        }
 
     # -- public ----------------------------------------------------------
     def supports(self, node: N.Node) -> bool:
-        return all(isinstance(n, self.SUPPORTED) for n in N.walk(node))
+        return all(type(n) in self._machines for n in N.walk(node))
 
     def drive(self, node: N.Node) -> list[DuelValue]:
         """Top-level command: call eval until NOVALUE (paper's driver)."""
@@ -82,19 +104,14 @@ class StateMachineEvaluator:
         consumers) can pull values one at a time and observe exactly
         how many were produced before a limit tripped.
         """
-        unsupported = [n.op for n in N.walk(node)
-                       if not isinstance(n, self.SUPPORTED)]
-        if unsupported:
-            raise DuelError(
-                f"state-machine engine does not implement {unsupported[0]!r}")
+        for n in N.walk(node):
+            if type(n) not in self._machines:
+                raise DuelError(
+                    f"state-machine engine does not implement {n.op!r}")
         self._states.clear()
         depth = self.ev.scope.with_depth
         try:
-            while True:
-                value = self.eval(node)
-                if value is NOVALUE:
-                    return
-                yield value
+            yield from self._values(node)
         finally:
             # WITH/DFS entries persist between eval calls by design;
             # unwind any leftovers if evaluation stopped early.
@@ -102,13 +119,6 @@ class StateMachineEvaluator:
                 self.ev.scope.pop()
 
     # -- the paper's eval ---------------------------------------------------
-    def _st(self, node: N.Node) -> _NodeState:
-        state = self._states.get(id(node))
-        if state is None:
-            state = _NodeState()
-            self._states[id(node)] = state
-        return state
-
     def eval(self, node: N.Node):
         """One value of ``node``, or NOVALUE; resumes where it left off.
 
@@ -123,201 +133,142 @@ class StateMachineEvaluator:
         fires — the two engines emit identical event sequences, which
         the parity property tests use as a correctness oracle.
         """
+        machine = self._machines[type(node)]
         tracer = self.ev.tracer
         if tracer is None:
-            value = self._eval_node(node)
+            value = machine(node)
             if value is not NOVALUE:
                 self.ev.governor.step()
             return value
         span, t0 = tracer.enter(node)
         try:
-            value = self._eval_node(node)
+            value = machine(node)
             if value is not NOVALUE:
                 self.ev.governor.step()
         except BaseException:
             tracer.exit_error(span, t0)
             raise
-        if value is not NOVALUE:
-            tracer.exit_yield(span, t0)
-        else:
-            tracer.exit_end(span, t0)
+        (tracer.exit_end if value is NOVALUE else tracer.exit_yield)(span, t0)
         return value
 
-    def _eval_node(self, node: N.Node):
-        if isinstance(node, N.Constant):
-            return self._eval_constant(node)
-        if isinstance(node, N.Name):
-            return self._eval_name(node)
-        if isinstance(node, N.Unary):
-            return self._eval_unary(node)
-        if isinstance(node, N.Binary):
-            return self._eval_binary(node)
-        if isinstance(node, N.CompareYield):
-            return self._eval_ifcmp(node)
-        if isinstance(node, N.To):
-            return self._eval_to(node)
-        if isinstance(node, N.Alternate):
-            return self._eval_alternate(node)
-        if isinstance(node, N.Index):
-            return self._eval_index(node)
-        if isinstance(node, N.If):
-            return self._eval_if(node)
-        if isinstance(node, N.AndAnd):
-            return self._eval_andand(node)
-        if isinstance(node, N.OrOr):
-            return self._eval_oror(node)
-        if isinstance(node, N.Assign):
-            return self._eval_assign(node)
-        if isinstance(node, N.Imply):
-            return self._eval_imply(node)
-        if isinstance(node, N.Sequence):
-            return self._eval_sequence(node)
-        if isinstance(node, N.While):
-            return self._eval_while(node)
-        if isinstance(node, N.Select):
-            return self._eval_select(node)
-        if isinstance(node, N.Define):
-            return self._eval_define(node)
-        if isinstance(node, N.With):
-            return self._eval_with(node)
-        if isinstance(node, N.Expand):
-            return self._eval_dfs(node)
-        if isinstance(node, N.Underscore):
-            return self._eval_underscore(node)
-        raise DuelError(f"state-machine engine: {node.op!r}")  # pragma: no cover
+    def _values(self, node: N.Node):
+        """``node``'s values until NOVALUE, as an iterator."""
+        return iter(lambda: self.eval(node), NOVALUE)
 
-    # case CONSTANT (paper listing, verbatim structure).  Built via the
-    # shared helper, not ev.eval, so the value is charged exactly once.
-    def _eval_constant(self, node: N.Constant):
+    def _st(self, node: N.Node) -> _NodeState:
+        state = self._states.get(id(node))
+        if state is None:
+            state = self._states[id(node)] = _NodeState()
+        return state
+
+    def _reset(self, node: N.Node) -> None:
+        """Abandon a subtree mid-stream: forget its states and pop the
+        scope entries its WITH machines hold, as closing a generator
+        runs its ``finally``."""
+        for n in N.walk(node):
+            st = self._states.pop(id(n), None)
+            if isinstance(n, N.With) and st is not None and st.state == 1:
+                self.ev.scope.pop()
+
+    # case CONSTANT, NAME, _ (paper listing): one value, from the
+    # generator engine's own case (uncounted: eval charges it).
+    def _leaf(self, node: N.Node):
         st = self._st(node)
         if st.state == 0:
             st.state = 1
-            return self.ev.constant_value(node)
+            return next(self.ev._dispatch[type(node)](node))
         st.state = 0
         return NOVALUE
 
-    def _eval_name(self, node: N.Name):
-        st = self._st(node)
-        if st.state == 0:
-            st.state = 1
-            return self.ev.scope.fetch(node.name)
-        st.state = 0
-        return NOVALUE
+    # case NEGATE, DEFINE, ...: while (u = eval(kids[0])) yield f(u).
+    def _pointwise(self, f, node: N.Node):
+        u = self.eval(node.kids[0])
+        return NOVALUE if u is NOVALUE else f(node, u)
 
-    def _eval_unary(self, node: N.Unary):
-        # while (u = eval(kids[0])) yield apply(op, u)
-        u = self.eval(node.kid)
-        if u is NOVALUE:
-            return NOVALUE
-        return self._apply_unary(node.operator, u)
-
-    def _apply_unary(self, op: str, u: DuelValue) -> DuelValue:
-        apply = self.ev.apply
-        table = {"-": apply.negate, "+": apply.plus, "!": apply.lognot,
-                 "~": apply.bitnot, "*": apply.deref, "&": apply.addressof}
-        return table[op](u)
-
-    # case PLUS, MINUS, MULTIPLY, ... — the numbered listing in the paper.
-    def _eval_binary(self, node: N.Binary):
+    # case PLUS, MINUS, MULTIPLY, ... — the numbered listing in the
+    # paper; assignment, the ?-comparisons and indexing run the same
+    # machine with their own combine step (NOVALUE: yield nothing).
+    def _two_operands(self, combine, node: N.Node):
+        left, right = node.kids
         st = self._st(node)
         while True:
-            if st.state == 1:                       # 2: goto bin1
-                u = self.eval(node.right)           # 8: bin1
-                if u is NOVALUE:                    # 9: goto bin0
-                    st.state = 0
-                    continue
-                return self.ev.apply.binary(        # 10-11: apply, return
-                    node.operator, st.value, u)
-            st.state = 0                            # 3: bin0
-            st.value = self.eval(node.left)         # 4
-            if st.value is NOVALUE:                 # 5-6
-                return NOVALUE
-            st.state = 1                            # 7
-
-    # Assignment: same two-operand machine as PLUS, applying store.
-    def _eval_assign(self, node: N.Assign):
-        from repro.core.symbolic import PREC_ASSIGN, SymBinary
-        st = self._st(node)
-        while True:
-            if st.state == 1:
-                u = self.eval(node.right)
-                if u is NOVALUE:
-                    st.state = 0
-                    continue
-                sym = SymBinary(node.operator, st.value.sym, u.sym,
-                                PREC_ASSIGN)
-                if node.operator == "=":
-                    return self.ev.apply.assign(st.value, u, sym)
-                return self.ev.apply.compound_assign(
-                    node.operator[:-1], st.value, u, sym)
-            st.value = self.eval(node.left)
-            if st.value is NOVALUE:
-                return NOVALUE
-            st.state = 1
-
-    # case IFGT, IFGE, ... — yields the left operand when true.
-    def _eval_ifcmp(self, node: N.CompareYield):
-        st = self._st(node)
-        while True:
-            if st.state == 1:
-                u = self.eval(node.right)
-                if u is NOVALUE:
-                    st.state = 0
-                    continue
-                if self.ev.apply.compare_true(node.operator, st.value, u):
-                    return st.value
+            if st.state == 0:                       # 3: bin0
+                st.value = self.eval(left)          # 4
+                if st.value is NOVALUE:             # 5-6
+                    return NOVALUE
+                st.state = 1                        # 7
+            v = self.eval(right)                    # 2: goto bin1; 8: bin1
+            if v is NOVALUE:                        # 9: goto bin0
+                st.state = 0
                 continue
-            st.value = self.eval(node.left)
-            if st.value is NOVALUE:
-                return NOVALUE
-            st.state = 1
+            result = combine(node, st.value, v)     # 10: apply
+            if result is not NOVALUE:
+                return result                       # 11: return
 
-    # case TO — states: 0 fresh, 1 have lo / need hi, 2 iterating.
-    # Prefix ..e uses states 0 -> 2 with a synthetic lo of 0; postfix
-    # e.. uses an unbounded counter.
-    def _eval_to(self, node: N.To):
+    # case IFGT, IFGE, ...: the left operand when the test holds.
+    def _compare_yield(self, node: N.CompareYield, u: DuelValue,
+                       v: DuelValue):
+        if self.ev.apply.compare_true(node.operator, u, v):
+            return u
+        return NOVALUE
+
+    # case IF, ANDAND, OROR, IMPLY: each condition value picks what
+    # follows it (Evaluator._branch); state 1 drains a picked branch.
+    def _branching(self, node: N.Node):
         st = self._st(node)
-        from repro.core.values import int_value
         while True:
-            if st.state == 2:  # iterating aux = (hi, i); hi None = e..
-                hi, i = st.aux
-                if hi is None or i <= hi:
-                    st.aux = (hi, i + 1)
+            if st.state == 1:
+                v = self.eval(st.aux)
+                if v is not NOVALUE:
+                    return v
+                st.state = 0
+            u = self.eval(node.kids[0])
+            if u is NOVALUE:
+                return NOVALUE
+            picked = self.ev._branch(node, u)
+            if isinstance(picked, DuelValue):
+                return picked
+            if picked is not None:
+                st.aux = picked
+                st.state = 1
+
+    # case TO — states: 0 fresh, 1 have lo / need hi, 2 counting
+    # through aux.  ..e counts 0..e-1 and e.. counts without end.
+    def _to(self, node: N.To):
+        st = self._st(node)
+        int_of = self.ev._int_of
+        while True:
+            if st.state == 2:
+                i = next(st.aux, None)
+                if i is not None:
                     return int_value(i)
                 st.state = 0 if node.lo is None else 1
-                continue
-            if st.state == 1:  # have lo in st.value, pull next hi
-                v = self.eval(node.hi) if node.hi is not None else NOVALUE
+            elif st.state == 1:
+                v = self.eval(node.hi)
                 if v is NOVALUE:
-                    if node.hi is None:  # e.. never gets here (unbounded)
-                        st.state = 0
-                        return NOVALUE
                     st.state = 0
-                    continue  # next lo
-                lo = int(self.ev.ops.load(st.value))
-                hi = int(self.ev.ops.load(v))
-                st.aux = (hi, lo)
+                    continue
+                st.aux = iter(range(int_of(st.value, "e1..e2"),
+                                    int_of(v, "e1..e2") + 1))
                 st.state = 2
-                continue
-            # state 0: fresh (or back for the next lo / next prefix hi)
-            if node.lo is None:  # ..e  ==  0 .. e-1
+            elif node.lo is None:
                 v = self.eval(node.hi)
                 if v is NOVALUE:
                     return NOVALUE
-                st.aux = (int(self.ev.ops.load(v)) - 1, 0)
+                st.aux = iter(range(int_of(v, "..e")))
                 st.state = 2
-                continue
-            st.value = self.eval(node.lo)
-            if st.value is NOVALUE:
-                return NOVALUE
-            if node.hi is None:  # e.. unbounded
-                st.aux = (None, int(self.ev.ops.load(st.value)))
-                st.state = 2
-                continue
-            st.state = 1
+            else:
+                st.value = self.eval(node.lo)
+                if st.value is NOVALUE:
+                    return NOVALUE
+                if node.hi is None:
+                    st.aux = count(int_of(st.value, "e.."))
+                    st.state = 2
+                else:
+                    st.state = 1
 
     # case ALTERNATE (paper listing)
-    def _eval_alternate(self, node: N.Alternate):
+    def _alternate(self, node: N.Alternate):
         st = self._st(node)
         if st.state == 0:
             u = self.eval(node.left)
@@ -325,107 +276,24 @@ class StateMachineEvaluator:
                 return u
             st.state = 1
         v = self.eval(node.right)
-        if v is not NOVALUE:
-            return v
-        st.state = 0
-        return NOVALUE
+        if v is NOVALUE:
+            st.state = 0
+        return v
 
-    def _eval_index(self, node: N.Index):
+    # case SEQUENCE
+    def _sequence(self, node: N.Sequence):
         st = self._st(node)
-        while True:
-            if st.state == 1:
-                u = self.eval(node.index)
-                if u is NOVALUE:
-                    st.state = 0
-                    continue
-                return self.ev.apply.index(st.value, u)
-            st.value = self.eval(node.base)
-            if st.value is NOVALUE:
-                return NOVALUE
+        if st.state == 0:
+            while self.eval(node.left) is not NOVALUE:
+                pass
             st.state = 1
-
-    # case IF
-    def _eval_if(self, node: N.If):
-        st = self._st(node)
-        while True:
-            if st.state == 1:  # producing then-branch
-                v = self.eval(node.then)
-                if v is not NOVALUE:
-                    return v
-                st.state = 0
-                continue
-            if st.state == 2:  # producing else-branch
-                v = self.eval(node.els)
-                if v is not NOVALUE:
-                    return v
-                st.state = 0
-                continue
-            u = self.eval(node.cond)
-            if u is NOVALUE:
-                return NOVALUE
-            if self.ev.ops.truthy(u):
-                st.state = 1
-            elif node.els is not None:
-                st.state = 2
-            # zero cond without else: loop for the next cond value
-
-    # case ANDAND
-    def _eval_andand(self, node: N.AndAnd):
-        st = self._st(node)
-        while True:
-            if st.state == 1:
-                v = self.eval(node.right)
-                if v is not NOVALUE:
-                    return v
-                st.state = 0
-                continue
-            u = self.eval(node.left)
-            if u is NOVALUE:
-                return NOVALUE
-            if self.ev.ops.truthy(u):
-                st.state = 1
-
-    # Dual of ANDAND (matching the generator engine's semantics).
-    def _eval_oror(self, node: N.OrOr):
-        from repro.core.values import rvalue
-        from repro.ctype.types import INT
-        st = self._st(node)
-        while True:
-            if st.state == 1:
-                v = self.eval(node.right)
-                if v is not NOVALUE:
-                    return v
-                st.state = 0
-                continue
-            u = self.eval(node.left)
-            if u is NOVALUE:
-                return NOVALUE
-            if self.ev.ops.truthy(u):
-                return rvalue(INT, 1, u.sym)
-            st.state = 1
-
-    # case IMPLY
-    def _eval_imply(self, node: N.Imply):
-        st = self._st(node)
-        while True:
-            if st.state == 1:
-                v = self.eval(node.right)
-                if v is not NOVALUE:
-                    return v
-                st.state = 0
-                continue
-            u = self.eval(node.left)
-            if u is NOVALUE:
-                return NOVALUE
-            st.state = 1
-
-    def _reset(self, node: N.Node) -> None:
-        """Reset a subtree's evaluation state (abandon mid-stream)."""
-        for n in N.walk(node):
-            self._states.pop(id(n), None)
+        v = NOVALUE if node.right is None else self.eval(node.right)
+        if v is NOVALUE:
+            st.state = 0
+        return v
 
     # case WHILE (paper listing): e2 repeats while all of e1 is non-zero.
-    def _eval_while(self, node: N.While):
+    def _while(self, node: N.While):
         st = self._st(node)
         while True:
             if st.state == 1:  # producing body values
@@ -433,62 +301,33 @@ class StateMachineEvaluator:
                 if v is not NOVALUE:
                     return v
                 st.state = 0
-                continue
             u = self.eval(node.cond)
             if u is NOVALUE:
                 st.state = 1  # every condition value was non-zero
-                continue
-            if not self.ev.ops.truthy(u):
+            elif not self.ev.ops.truthy(u):
                 self._reset(node.cond)  # abandon the mid-stream cond
-                st.state = 0
                 return NOVALUE
 
-    # case SELECT — cached source, matching the generator engine (the
-    # paper notes the real implementation "avoids the re-evaluation").
-    def _eval_select(self, node: N.Select):
-        from repro.core.symbolic import with_lowered_fold
+    # case SELECT: the source's values are kept as the generator engine
+    # keeps them (Evaluator._select), so e1 is pulled once.
+    def _select(self, node: N.Select):
         st = self._st(node)
         if st.aux is None:
-            st.aux = {"cache": [], "exhausted": False}
-        cache, state = st.aux["cache"], st.aux
+            st.aux = ([], self._values(node.seq))
         while True:
             sel = self.eval(node.selector)
             if sel is NOVALUE:
-                if not state["exhausted"]:
-                    self._reset(node.seq)
+                self._reset(node.seq)  # abandon a mid-stream source
                 st.aux = None
                 return NOVALUE
-            k = int(self.ev.ops.load(sel))
-            if k < 0:
-                continue
-            while len(cache) <= k and not state["exhausted"]:
-                v = self.eval(node.seq)
-                if v is NOVALUE:
-                    state["exhausted"] = True
-                else:
-                    cache.append(v)
-            if k < len(cache):
-                value = cache[k]
-                if self.ev.options.symbolic:
-                    return value.with_sym(with_lowered_fold(value.sym, 2))
-                return value
-
-    # case DEFINE (paper listing): alias the name to each value.
-    def _eval_define(self, node: N.Define):
-        from repro.core.symbolic import SymText
-        u = self.eval(node.kid)
-        if u is NOVALUE:
-            return NOVALUE
-        self.ev.scope.alias(node.name, u)
-        if self.ev.options.symbolic:
-            return u.with_sym(SymText(node.name))
-        return u
+            v = self.ev._select(sel, *st.aux)
+            if v is not None:
+                return v
 
     # case WITH (paper listing): push(u); yield e2's values; pop().
     # The entry stays pushed *between* eval calls — exactly the
     # coroutine behaviour the paper's push/pop bracket implies.
-    def _eval_with(self, node: N.With):
-        from repro.core.scope import WithEntry
+    def _with(self, node: N.With):
         st = self._st(node)
         while True:
             if st.state == 1:  # entry pushed, producing e2
@@ -497,82 +336,24 @@ class StateMachineEvaluator:
                     return v
                 self.ev.scope.pop()
                 st.state = 0
-                continue
             u = self.eval(node.left)
             if u is NOVALUE:
                 return NOVALUE
-            operand = self.ev._with_operand(u, node.arrow)
-            if operand is None:
-                continue  # NULL under ->: generates nothing
-            self.ev.scope.push(WithEntry(operand, arrow=node.arrow,
-                                         underscore=u))
-            st.state = 1
+            if self.ev._push_with(u, node.arrow):
+                st.state = 1
 
     # case DFS (paper listing): stack/unstack with the traversal
-    # expression generating successors; children of one node are
-    # computed eagerly (the inner while in the paper's code).
-    def _eval_dfs(self, node: N.Expand):
-        from collections import deque
-        from repro.core.scope import WithEntry
+    # expression generating successors; each step drains the traversal
+    # for one node (the inner while in the paper's code).
+    def _dfs(self, node: N.Expand):
         st = self._st(node)
         while True:
             if st.state == 1:
-                pending, visited = st.aux
-                if not pending:
-                    st.state = 0
-                    st.aux = None
-                    continue
-                v = pending.popleft() if node.breadth_first else pending.pop()
-                operand = self.ev._expand_operand(v)
-                children = []
-                if operand is not None:
-                    self.ev.scope.push(WithEntry(operand, arrow=True,
-                                                 chain=True, underscore=v))
-                    try:
-                        while True:
-                            w = self.eval(node.traversal)
-                            if w is NOVALUE:
-                                break
-                            if self.ev._expandable(w, visited, register=True):
-                                children.append(w)
-                    finally:
-                        self.ev.scope.pop()
-                if node.breadth_first:
-                    pending.extend(children)
-                else:
-                    pending.extend(reversed(children))
-                self.ev.governor.charge("expand")
-                return v
+                if st.aux[0]:
+                    return self.ev._expand_step(node, *st.aux, self._values)
+                st.state = 0
             u = self.eval(node.root)
             if u is NOVALUE:
                 return NOVALUE
-            pending: deque = deque()
-            visited: set = set()
-            if self.ev._expandable(u, visited, register=True):
-                pending.append(u)
-            st.aux = (pending, visited)
+            st.aux = self.ev._expansion(u)
             st.state = 1
-
-    def _eval_underscore(self, node: N.Underscore):
-        st = self._st(node)
-        if st.state == 0:
-            st.state = 1
-            return self.ev.scope.fetch("_")
-        st.state = 0
-        return NOVALUE
-
-    # case SEQUENCE
-    def _eval_sequence(self, node: N.Sequence):
-        st = self._st(node)
-        if st.state == 0:
-            while self.eval(node.left) is not NOVALUE:
-                pass
-            st.state = 1
-        if node.right is None:
-            st.state = 0
-            return NOVALUE
-        v = self.eval(node.right)
-        if v is not NOVALUE:
-            return v
-        st.state = 0
-        return NOVALUE

@@ -77,6 +77,7 @@ and closes the sockets.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import socketserver
@@ -1707,191 +1708,152 @@ def run_server(ns, program, limit_kwargs: dict, out,
     import signal
 
     from repro.obs.metrics import registry as process_registry
+    from repro.obs.statements import StatementStats
+    from repro.serve.journal import JournalError
 
     metrics = process_registry()
-    qlog = None
-    if ns.query_log:
-        from repro.obs.qlog import QueryLog
-        try:
-            qlog = QueryLog(ns.query_log,
-                            fsync=getattr(ns, "query_log_fsync", False))
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            return 1
-    recorder = None
-    if ns.dump_dir:
-        import os
-
-        from repro.obs.recorder import FlightRecorder
-        try:
-            os.makedirs(ns.dump_dir, exist_ok=True)
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            return 1
-        recorder = FlightRecorder(dump_dir=ns.dump_dir)
     # Fleet statement statistics are always on in serve mode: the
     # aggregation is bounded and lock-cheap, and a service without
     # per-shape latency answers is flying blind.
-    from repro.obs.statements import StatementStats
     statements = StatementStats()
-    tracelog = None
-    if getattr(ns, "trace_json", None):
-        from repro.obs.reqtrace import TraceLog
+    # Each resource joins the stack as it opens, so every exit — a
+    # setup error below or the end of serving — closes all of them.
+    with contextlib.ExitStack() as resources:
         try:
-            tracelog = TraceLog(ns.trace_json,
-                                sample=getattr(ns, "trace_sample", 1))
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            return 1
-    accesslog = None
-    if getattr(ns, "access_trace", None):
-        from repro.obs.access import AccessLog
-        try:
-            accesslog = AccessLog(ns.access_trace,
-                                  sample=getattr(ns, "access_sample", 1))
-        except (OSError, ValueError) as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            if tracelog is not None:
-                tracelog.close()
-            return 1
-    session_kwargs = dict(limit_kwargs)
-    session_kwargs["symbolic"] = not ns.no_symbolic
-    page_cache = getattr(ns, "page_cache_policy", None)
-    if page_cache is not None:
-        session_kwargs["page_cache"] = page_cache
-    from repro.serve.journal import JournalError
-    try:
-        server = DuelServer(
-            program, host=ns.host, port=ns.port,
-            workers=ns.workers, queue_depth=ns.queue_depth,
-            max_clients=ns.max_clients, per_client=ns.per_client,
-            session_kwargs=session_kwargs,
-            metrics=metrics, qlog=qlog, recorder=recorder,
-            statements=statements, tracelog=tracelog,
-            accesslog=accesslog,
-            slow_ms=getattr(ns, "slow_ms", None),
-            drain_timeout=ns.drain_timeout,
-            heartbeat_interval=getattr(ns, "heartbeat_interval", 10.0),
-            heartbeat_timeout=getattr(ns, "heartbeat_timeout", 30.0),
-            resume_ttl=getattr(ns, "resume_ttl", 60.0),
-            breaker_threshold=getattr(ns, "breaker_threshold", 5),
-            breaker_window=getattr(ns, "breaker_window", 30.0),
-            breaker_cooldown=getattr(ns, "breaker_cooldown", 10.0),
-            state_dir=getattr(ns, "state_dir", None),
-            journal_fsync=getattr(ns, "journal_fsync", "interval:1.0"),
-            checkpoint_interval=getattr(ns, "checkpoint_interval", 30.0),
-            commit_writes=getattr(ns, "commit_writes", False))
-    except (JournalError, ValueError) as error:
-        out.write(f"error: {error}\n")
-        if qlog is not None:
-            qlog.close()
-        if accesslog is not None:
-            accesslog.close()
-        return 1
-    metrics_server = None
-    if ns.metrics_port is not None:
-        from repro.obs.exposition import MetricsServer
-        metrics_server = MetricsServer(
-            metrics, port=ns.metrics_port,
-            health=server.health.healthz,
-            collectors=(statements.prometheus_lines,
-                        statements.prometheus_target_lines))
-        try:
-            mport = metrics_server.start()
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            return 1
-        out.write(f"metrics: http://127.0.0.1:{mport}/metrics\n")
-    try:
-        port = server.start()
-    except OSError as error:
-        out.write(f"error: {error}\n")
-        if qlog is not None:
-            qlog.close()
-        if metrics_server is not None:
-            metrics_server.stop()
-        return 1
-    if server.store is not None:
-        out.write(f"state: {getattr(ns, 'state_dir', None)} "
-                  f"(recovered {server.recovered_sessions} sessions, "
-                  f"replayed {server.replayed_writes} writes)\n")
-    out.write(f"serving on {ns.host}:{port}\n")
-    try:
-        out.flush()
-    except (AttributeError, OSError):
-        pass
-    stopper = stop_event if stop_event is not None else threading.Event()
+            qlog = recorder = tracelog = accesslog = None
+            if ns.query_log:
+                from repro.obs.qlog import QueryLog
+                qlog = QueryLog(ns.query_log,
+                                fsync=getattr(ns, "query_log_fsync", False))
+                resources.callback(qlog.close)
+            if ns.dump_dir:
+                import os
 
-    def request_stop(signum=None, frame=None):
-        # First signal: begin the graceful drain.  A second signal
-        # while draining escalates to a fast drain (cancel everything)
-        # instead of raising KeyboardInterrupt mid-cleanup.
-        if stopper.is_set():
-            server.request_fast_drain()
-        stopper.set()
-
-    previous = {}
-    for signame in ("SIGINT", "SIGTERM"):
-        signum = getattr(signal, signame, None)
-        if signum is None:
-            continue
-        try:
-            previous[signum] = signal.signal(signum, request_stop)
-        except ValueError:            # not the main thread
-            pass
-    if ready is not None:
-        ready.set()
-    exit_code = 0
-    try:
-        stopper.wait()
-    except Exception as error:
-        # An unhandled main-loop exception is a server crash: leave a
-        # black box (flight-recorder post-mortem) before dying, then
-        # still run the drain so clients get a bye when possible.
-        exit_code = 1
-        if recorder is not None:
-            try:
-                path = recorder.dump("server_crash", metrics=metrics)
-                out.write(f"post-mortem dump: {path}\n")
-            except Exception:
-                pass
-        out.write(f"fatal: {type(error).__name__}: {error}\n")
-    finally:
-        out.write("draining...\n")
+                from repro.obs.recorder import FlightRecorder
+                os.makedirs(ns.dump_dir, exist_ok=True)
+                recorder = FlightRecorder(dump_dir=ns.dump_dir)
+            if getattr(ns, "trace_json", None):
+                from repro.obs.reqtrace import TraceLog
+                tracelog = TraceLog(ns.trace_json,
+                                    sample=getattr(ns, "trace_sample", 1))
+                resources.callback(tracelog.close)
+            if getattr(ns, "access_trace", None):
+                from repro.obs.access import AccessLog
+                accesslog = AccessLog(ns.access_trace,
+                                      sample=getattr(ns, "access_sample", 1))
+                resources.callback(accesslog.close)
+            session_kwargs = dict(limit_kwargs)
+            session_kwargs["symbolic"] = not ns.no_symbolic
+            page_cache = getattr(ns, "page_cache_policy", None)
+            if page_cache is not None:
+                session_kwargs["page_cache"] = page_cache
+            server = DuelServer(
+                program, host=ns.host, port=ns.port,
+                workers=ns.workers, queue_depth=ns.queue_depth,
+                max_clients=ns.max_clients, per_client=ns.per_client,
+                session_kwargs=session_kwargs,
+                metrics=metrics, qlog=qlog, recorder=recorder,
+                statements=statements, tracelog=tracelog,
+                accesslog=accesslog,
+                slow_ms=getattr(ns, "slow_ms", None),
+                drain_timeout=ns.drain_timeout,
+                heartbeat_interval=getattr(ns, "heartbeat_interval", 10.0),
+                heartbeat_timeout=getattr(ns, "heartbeat_timeout", 30.0),
+                resume_ttl=getattr(ns, "resume_ttl", 60.0),
+                breaker_threshold=getattr(ns, "breaker_threshold", 5),
+                breaker_window=getattr(ns, "breaker_window", 30.0),
+                breaker_cooldown=getattr(ns, "breaker_cooldown", 10.0),
+                state_dir=getattr(ns, "state_dir", None),
+                journal_fsync=getattr(ns, "journal_fsync", "interval:1.0"),
+                checkpoint_interval=getattr(ns, "checkpoint_interval", 30.0),
+                commit_writes=getattr(ns, "commit_writes", False))
+            if server.store is not None:
+                # Closed by server.stop() after serving; this closes a
+                # store whose server never started (closing is
+                # idempotent).
+                resources.callback(server.store.close)
+            if ns.metrics_port is not None:
+                from repro.obs.exposition import MetricsServer
+                metrics_server = MetricsServer(
+                    metrics, port=ns.metrics_port,
+                    health=server.health.healthz,
+                    collectors=(statements.prometheus_lines,
+                                statements.prometheus_target_lines))
+                resources.callback(metrics_server.stop)
+                mport = metrics_server.start()
+                out.write(f"metrics: http://127.0.0.1:{mport}/metrics\n")
+            port = server.start()
+        except (OSError, ValueError, JournalError) as error:
+            out.write(f"error: {error}\n")
+            return 1
+        if server.store is not None:
+            out.write(f"state: {getattr(ns, 'state_dir', None)} "
+                      f"(recovered {server.recovered_sessions} sessions, "
+                      f"replayed {server.replayed_writes} writes)\n")
+        out.write(f"serving on {ns.host}:{port}\n")
         try:
             out.flush()
         except (AttributeError, OSError):
             pass
+        stopper = stop_event if stop_event is not None \
+            else threading.Event()
+
+        def request_stop(signum=None, frame=None):
+            # First signal: begin the graceful drain.  A second signal
+            # while draining escalates to a fast drain (cancel
+            # everything) instead of raising KeyboardInterrupt
+            # mid-cleanup.
+            if stopper.is_set():
+                server.request_fast_drain()
+            stopper.set()
+
+        previous = {}
+        for signame in ("SIGINT", "SIGTERM"):
+            signum = getattr(signal, signame, None)
+            if signum is None:
+                continue
+            try:
+                previous[signum] = signal.signal(signum, request_stop)
+            except ValueError:            # not the main thread
+                pass
+        if ready is not None:
+            ready.set()
+        exit_code = 0
         try:
-            # The handlers stay installed through the drain so a
-            # second SIGINT reaches request_stop (fast drain), never
-            # KeyboardInterrupt.
-            server.stop()
-        finally:
-            for signum, handler in previous.items():
+            stopper.wait()
+        except Exception as error:
+            # An unhandled main-loop exception is a server crash: leave
+            # a black box (flight-recorder post-mortem) before dying,
+            # then still run the drain so clients get a bye when
+            # possible.
+            exit_code = 1
+            if recorder is not None:
                 try:
-                    signal.signal(signum, handler)
-                except ValueError:
+                    path = recorder.dump("server_crash", metrics=metrics)
+                    out.write(f"post-mortem dump: {path}\n")
+                except Exception:
                     pass
-        if metrics_server is not None:
-            metrics_server.stop()
-        if qlog is not None:
-            qlog.close()
-        if tracelog is not None:
-            tracelog.close()
-        if accesslog is not None:
-            accesslog.close()
-        out.write(f"served {server.served} queries "
-                  f"({server.rejected} rejected)\n")
-    return exit_code
+            out.write(f"fatal: {type(error).__name__}: {error}\n")
+        finally:
+            out.write("draining...\n")
+            try:
+                out.flush()
+            except (AttributeError, OSError):
+                pass
+            try:
+                # The handlers stay installed through the drain so a
+                # second SIGINT reaches request_stop (fast drain),
+                # never KeyboardInterrupt.
+                server.stop()
+            finally:
+                for signum, handler in previous.items():
+                    try:
+                        signal.signal(signum, handler)
+                    except ValueError:
+                        pass
+            out.write(f"served {server.served} queries "
+                      f"({server.rejected} rejected)\n")
+        return exit_code
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ directory must recover:
 import io
 import json
 import os
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -331,6 +332,56 @@ class TestRunServerCrashDump:
         with open(tmp_path / "dumps" / dumps[0]) as handle:
             dump = json.load(handle)
         assert dump["reason"] == "server_crash"
+
+
+class TestRunServerErrorExits:
+    """An error exit closes everything run_server opened before it."""
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        from repro.obs.access import AccessLog
+        from repro.obs.qlog import QueryLog
+        from repro.obs.reqtrace import TraceLog
+        from repro.serve.journal import StateStore
+
+        names = []
+        for cls in (QueryLog, TraceLog, AccessLog, StateStore):
+            def close(self, original=cls.close, name=cls.__name__):
+                names.append(name)
+                original(self)
+            monkeypatch.setattr(cls, "close", close)
+        return names
+
+    def run(self, tmp_path, **overrides):
+        ns = SimpleNamespace(
+            query_log=str(tmp_path / "queries.jsonl"), dump_dir=None,
+            trace_json=str(tmp_path / "traces.jsonl"),
+            access_trace=str(tmp_path / "accesses.jsonl"),
+            state_dir=str(tmp_path / "state"),
+            host="127.0.0.1", port=0, workers=2, queue_depth=4,
+            max_clients=4, per_client=1, drain_timeout=2.0,
+            metrics_port=None, no_symbolic=True)
+        vars(ns).update(overrides)
+        out = io.StringIO()
+        code = run_server(ns, workloads.big_array(10), {}, out)
+        return code, out.getvalue()
+
+    @pytest.mark.parametrize("busy", ["port", "metrics_port"])
+    def test_busy_port_closes_logs_and_store(self, tmp_path, closed, busy):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            code, text = self.run(tmp_path,
+                                  **{busy: blocker.getsockname()[1]})
+        assert code == 1
+        assert text.startswith("error: ")
+        assert sorted(closed) == ["AccessLog", "QueryLog", "StateStore",
+                                  "TraceLog"]
+
+    def test_server_construction_error_closes_logs(self, tmp_path, closed):
+        code, text = self.run(tmp_path, workers=0)
+        assert (code, text) == (1, "error: need at least one worker\n")
+        assert sorted(closed) == ["AccessLog", "QueryLog", "TraceLog"]
 
 
 class TestSigkillSubprocess:

@@ -2,7 +2,7 @@
 native generator engine must be observationally identical (A1)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro import DuelSession, SimulatorBackend, TargetProgram
 from repro.core.statemachine import StateMachineEvaluator
@@ -215,6 +215,13 @@ def qlog_both(rig_pair, text):
 
 
 @given(text=expressions)
+# Non-integer bounds of to and [[ ]] fault on both engines.
+@example(text="1.5..3")
+@example(text="..2.5")
+@example(text="(5,6,7)[[1.5]]")
+# A source abandoned mid-stream leaves no with-scope entry behind.
+@example(text="(x[..3].(_))[[0]], _")
+@example(text="(while (x[2..4].(_)) 1), _")
 def test_engines_leave_identical_qlog_records(rig, text):
     generator, machine = qlog_both(rig, text)
     assert generator == machine

@@ -110,17 +110,28 @@ class TestStructuralOperators:
         "y := x[..10] => if (y < 0 || y > 100) y",
         "(10..30)[[3..5]]",
         "root-->(if (key > 5) left else if (key < 5) right)->key",
+        # Assignments and defines that leave the target as it was.
+        "x[0] = x[0]",
+        "x[x[3]] = x[0]",
+        "x[1,2] += 0",
+        "y := x[..3]",
+        "y := x[..3] => y = y",
     ])
     def test_agrees_with_generator_engine(self, rig, expr):
         session, sm = rig
         node = session.compile(expr)
         ops = session.evaluator.ops
-        session.evaluator.reset()
-        generator = [(ops.load(v), v.sym.render())
-                     for v in session.evaluator.eval(node)]
-        session.evaluator.reset()
-        machine = [(ops.load(v), v.sym.render()) for v in sm.drive(node)]
-        assert generator == machine
+        for symbolic in (True, False):
+            session.options.symbolic = symbolic
+            session.evaluator.reset()
+            generator = [(ops.load(v), v.sym.render())
+                         for v in session.evaluator.eval(node)]
+            symnodes = session.governor.symnodes
+            session.evaluator.reset()
+            machine = [(ops.load(v), v.sym.render())
+                       for v in sm.drive(node)]
+            assert generator == machine
+            assert session.governor.symnodes == symnodes
 
     def test_assignment_through_generators(self, rig):
         session, sm = rig
