@@ -1,20 +1,17 @@
 """Access-observatory cost on the hot path (the PR 9 <5% gate).
 
-One question, one artifact section: what does stacking
-:class:`~repro.target.interface.AccessTracingBackend` into every
-session's backend chain cost a query that never asks for an access
-profile?  The observatory's promise is a hot path untouched when off
-(the evaluator splices the access hop out whenever no tracer is
-attached); this suite measures that promise on the paper's P3
-workload and gates it:
+One question, one artifact section: what does an idle memory-access
+observatory cost a query that is not sampled?  With ``--access-trace``
+on and ``--trace-sample N``, N-1 of every N queries toss the session's
+one sampling coin, lose, and run without a tracer: the observatory's
+promise is that those queries pay only the coin and a predicate.  This
+suite measures that promise on the paper's P3 workload and gates it:
 
-* **shipped** — a stock :class:`~repro.DuelSession`: the access
-  backend is in the chain (as every session now builds it) but no
-  tracer is attached.  This is the configuration every query runs in.
-* **no_access_backend** — the same session with the access wrapper
-  spliced *out* of the chain (the pre-PR-9 stack, reconstructed).
-  ``shipped/no_access_backend`` p50 is the off-overhead, gated at
-  ``--max-access-overhead`` (CI: 1.05).
+* **plain** — a stock :class:`~repro.DuelSession`, nothing attached.
+* **idle** — the same session with an access log attached (writing to
+  the null device) and a :class:`~repro.obs.trace.Sampler` that never
+  fires on the measured queries.  ``idle/plain`` p50 is the
+  off-overhead, gated at ``--max-access-overhead`` (CI: 1.05).
 * **access_on** — every query runs fully traced + profiled through
   :meth:`~repro.core.session.DuelSession.accesses`.  Reported for
   honesty, *not* gated: profiling is opt-in (the ``accesses``
@@ -37,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import sys
@@ -47,6 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DuelSession, SimulatorBackend   # noqa: E402
 from repro.bench import workloads                 # noqa: E402
+from repro.obs.access import AccessLog            # noqa: E402
+from repro.obs.trace import Sampler               # noqa: E402
 
 #: The paper's P3 scaling workload (same as every other suite).
 P3_SIZE = 1000
@@ -74,19 +74,14 @@ def make_session() -> DuelSession:
                        symbolic=False)
 
 
-def splice_out_access_backend(session: DuelSession) -> None:
-    """Reconstruct the pre-PR-9 chain: TracingBackend → Governed…
-
-    The tracing wrapper delegates everything but reads and writes to
-    its ``inner``; pointing that straight at the governed backend and
-    relinking the chain (which binds the read/write hops) leaves the
-    access wrapper nowhere in the stack — the spliced chain pays
-    exactly the old number of attribute hops, which is the whole
-    point of the comparison.
-    """
-    evaluator = session.evaluator
-    evaluator.backend.inner = evaluator.governed_backend
-    evaluator.link_chain()
+def make_idle_session(null) -> DuelSession:
+    """A session whose observatory is attached but idle: an access log
+    on the null device, and a sampler whose coin never comes up on
+    the queries this suite runs."""
+    session = make_session()
+    session.accesslog = AccessLog(null)
+    session.sampler = Sampler(10 ** 9)
+    return session
 
 
 def run_once(name: str, session: DuelSession) -> float:
@@ -103,7 +98,7 @@ def run_once(name: str, session: DuelSession) -> float:
     return elapsed
 
 
-def interleaved(queries: int) -> dict[str, list[float]]:
+def interleaved(queries: int, null) -> dict[str, list[float]]:
     """One query per configuration per round; drift cancels.
 
     The order rotates each round: ``access_on`` allocates profile
@@ -111,10 +106,9 @@ def interleaved(queries: int) -> dict[str, list[float]]:
     next, and a fixed order would bill that to one configuration
     systematically.
     """
-    sessions = {"shipped": make_session(),
-                "no_access_backend": make_session(),
+    sessions = {"plain": make_session(),
+                "idle": make_idle_session(null),
                 "access_on": make_session()}
-    splice_out_access_backend(sessions["no_access_backend"])
     for name, session in sessions.items():
         run_once(name, session)                    # warm-up
     timings: dict[str, list[float]] = {name: [] for name in sessions}
@@ -153,19 +147,20 @@ def main(argv=None) -> int:
                         help="also write the report as JSON to PATH")
     parser.add_argument("--max-access-overhead", type=float,
                         default=None, metavar="RATIO",
-                        help="fail (exit 1) if shipped/no-backend p50 "
-                             "exceeds RATIO (CI: 1.05)")
+                        help="fail (exit 1) if idle/plain p50 exceeds "
+                             "RATIO (CI: 1.05)")
     ns = parser.parse_args(argv)
 
-    timings = interleaved(ns.queries)
+    with open(os.devnull, "w") as null:
+        timings = interleaved(ns.queries, null)
     configs = {name: quantiles(values)
                for name, values in timings.items()}
-    off_overhead = round(configs["shipped"]["p50_ms"]
-                         / configs["no_access_backend"]["p50_ms"], 4)
+    off_overhead = round(configs["idle"]["p50_ms"]
+                         / configs["plain"]["p50_ms"], 4)
     on_overhead = round(configs["access_on"]["p50_ms"]
-                        / configs["no_access_backend"]["p50_ms"], 4)
+                        / configs["plain"]["p50_ms"], 4)
     report = {
-        "schema": "repro-bench-access/9",
+        "schema": "repro-bench-access/20",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "workload": P3_EXPR,
@@ -180,10 +175,8 @@ def main(argv=None) -> int:
     for name, entry in configs.items():
         print(f"{name:18} p50={entry['p50_ms']:8.3f}ms "
               f"p95={entry['p95_ms']:8.3f}ms")
-    print(f"off-overhead (shipped/no_access_backend): "
-          f"{off_overhead:.3f}x")
-    print(f"profiled overhead (access_on/no_access_backend): "
-          f"{on_overhead:.2f}x")
+    print(f"off-overhead (idle/plain): {off_overhead:.3f}x")
+    print(f"profiled overhead (access_on/plain): {on_overhead:.2f}x")
     seen = report["observatory"]
     print(f"P3 observatory: {seen['pattern']}, {seen['reads']} reads, "
           f"{seen['unique_pages']} pages, best advisor "

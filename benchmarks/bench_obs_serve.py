@@ -13,12 +13,14 @@ configuration equally and cancels in the ratio:
   the PR 7 serving path, byte-for-byte (trace_ids are still assigned
   and echoed — that is protocol behavior — but no spans are recorded).
 * **observed** — statements table aggregating every query, a JSONL
-  trace log head-sampling 1-in-``--sample`` (default 10, the
-  production shape), ``--slow-ms`` armed high enough never to fire.
+  trace log fed by the one head-sampling coin
+  (:class:`~repro.obs.trace.Sampler`, 1-in-``--sample``, default 10,
+  the production shape), ``--slow-ms`` armed high enough never to
+  fire.
   This is the configuration ``duel --serve`` runs by default and the
   one the gate applies to: ``observed/plain`` p50 must stay under
   ``--max-obs-overhead`` (CI: 1.05).
-* **fully_traced** — the same but sampling 1-in-1, so every query
+* **fully_traced** — the same but with no sampler, so every query
   also runs with the engine AST tracer attached and exports its span
   tree.  Reported for honesty, *not* gated: per-node tracing is
   bounded by the PR 3 <2x gate, and nobody samples 100% in steady
@@ -46,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench import workloads                 # noqa: E402
 from repro.obs.reqtrace import TraceLog           # noqa: E402
 from repro.obs.statements import StatementStats   # noqa: E402
+from repro.obs.trace import Sampler               # noqa: E402
 from repro.serve.client import DuelClient         # noqa: E402
 from repro.serve.server import DuelServer         # noqa: E402
 
@@ -88,11 +91,12 @@ def closed_loop(port: int, queries: int) -> list[float]:
     return timings
 
 
-def make_server(statements=None, tracelog=None, slow_ms=None):
+def make_server(statements=None, tracelog=None, sampler=None,
+                slow_ms=None):
     return DuelServer(workloads.big_array(P3_SIZE),
                       workers=2, queue_depth=8, max_clients=4,
                       per_client=1, statements=statements,
-                      tracelog=tracelog, slow_ms=slow_ms,
+                      tracelog=tracelog, sampler=sampler, slow_ms=slow_ms,
                       session_kwargs=dict(SESSION_KWARGS))
 
 
@@ -161,18 +165,17 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as scratch:
         observed_stats = StatementStats()
-        observed_log = TraceLog(str(Path(scratch) / "observed.jsonl"),
-                                sample=ns.sample)
+        observed_log = TraceLog(Path(scratch) / "observed.jsonl")
         configs = {
             "plain": {},
             "observed": {"statements": observed_stats,
                          "tracelog": observed_log,
+                         "sampler": Sampler(ns.sample),
                          "slow_ms": 60_000.0},
         }
         full_log = None
         if not ns.skip_full_trace:
-            full_log = TraceLog(str(Path(scratch) / "full.jsonl"),
-                                sample=1)
+            full_log = TraceLog(Path(scratch) / "full.jsonl")
             configs["fully_traced"] = {"statements": StatementStats(),
                                        "tracelog": full_log,
                                        "slow_ms": 60_000.0}

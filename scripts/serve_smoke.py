@@ -26,7 +26,13 @@ validates everything:
   with its locality panel;
 * the ``accesses`` wire op classifies the array scan as sequential
   with a multi-page-size prefetch-advisor sweep, and the
-  ``--access-trace`` JSONL holds exactly the head-sampled profiles;
+  ``--access-trace`` JSONL holds exactly the head-sampled profiles
+  plus the two forced probes;
+* one coin decides both exports (``--trace-sample``): every access
+  profile's trace id is among the exported request traces, and the
+  trace export holds exactly the probes, the always-exported
+  truncated and cancelled queries, and the sampled queries that
+  drained;
 * the server drains on SIGINT and reports its served/rejected totals.
 
 Artifacts (query log, scraped metrics, outcome summary) land in
@@ -51,8 +57,13 @@ from repro.serve.client import DuelClient  # noqa: E402
 
 CLIENTS = 8
 
-#: ``--access-trace`` head-sampling: every 4th query exports a profile.
-ACCESS_SAMPLE = 4
+#: ``--trace-sample``: every 4th query is observed in depth — engine
+#: traced, access-profiled and its request trace exported.
+TRACE_SAMPLE = 4
+
+#: The two probes that are observed whatever the coin says: the
+#: ``profile: true`` trace probe and the ``accesses`` op.
+PROBES = ("data[..5]", "data[..40] !=? 0")
 
 PROGRAM = """\
 int data[40] = {3, -1, 7, 0, 12, -9, 2, 120, 5, -4,
@@ -198,8 +209,9 @@ def check_statements(port):
           f"{reply['recorded']} queries aggregated")
 
 
-def check_traces_file(path):
-    """Exported span trees must be valid JSONL tagged with trace ids."""
+def check_traces_file(path, access_records):
+    """Exported span trees must be valid JSONL tagged with trace ids,
+    sampled by the same coin as the access profiles."""
     records = []
     for number, line in enumerate(open(path), 1):
         try:
@@ -219,7 +231,24 @@ def check_traces_file(path):
     names = {span["name"] for span in probe[0]["spans"]}
     if not {"admission_queue", "drive", "stream"} <= names:
         fail(f"probe trace spans incomplete: {sorted(names)}")
-    print(f"trace export ok: {len(records)} span trees")
+    exported = {record["trace_id"] for record in records}
+    orphans = [record["text"] for record in access_records
+               if record.get("trace_id") not in exported]
+    if orphans:
+        fail(f"access profiles without an exported request trace: "
+             f"{orphans}")
+    # The probes, every truncated runaway and cancelled query (always
+    # exported), and the sampled queries that drained.
+    sampled_drained = sum(1 for record in access_records
+                          if record["text"] not in PROBES
+                          and record["outcome"] == "drained")
+    expected = len(PROBES) + 2 * CLIENTS + sampled_drained
+    if len(records) != expected:
+        fail(f"expected {expected} exported traces ({len(PROBES)} "
+             f"probes + {2 * CLIENTS} truncated/cancelled + "
+             f"{sampled_drained} sampled drained), found {len(records)}")
+    print(f"trace export ok: {len(records)} span trees, every access "
+          f"profile joined to its trace")
 
 
 def check_accesses(port):
@@ -260,9 +289,9 @@ def check_accesses(port):
 def check_access_trace(path):
     """The ``--access-trace`` JSONL must parse with sane profiles.
 
-    Sampling is counter-based (1-in-``ACCESS_SAMPLE``) and the
-    ``accesses`` probe always exports, so the record count is exact
-    whatever the client interleaving was.
+    Sampling is counter-based (1-in-``TRACE_SAMPLE`` of the clients'
+    queries) and both probes are forced (they toss no coin), so the
+    record count is exact whatever the client interleaving was.
     """
     records = []
     for number, line in enumerate(open(path), 1):
@@ -270,11 +299,11 @@ def check_access_trace(path):
             records.append(json.loads(line))
         except json.JSONDecodeError as error:
             fail(f"{path}:{number} is not JSON: {error}")
-    sampled = (CLIENTS * 5 + 1) // ACCESS_SAMPLE
-    expected = sampled + 1                     # + the forced probe
+    sampled = CLIENTS * 5 // TRACE_SAMPLE
+    expected = sampled + len(PROBES)
     if len(records) != expected:
         fail(f"expected {expected} access records ({sampled} sampled "
-             f"+ 1 probe), found {len(records)}")
+             f"+ {len(PROBES)} probes), found {len(records)}")
     for record in records:
         if record.get("ev") != "access":
             fail(f"malformed access record: {record}")
@@ -289,8 +318,12 @@ def check_access_trace(path):
     if len(probes) != 1 or probes[0]["profile"]["pattern"] \
             != "sequential":
         fail(f"probe access record wrong: {probes}")
+    traced = [r for r in records if r["text"] == "data[..5]"]
+    if len(traced) != 1 or traced[0].get("trace_id") != "smoke-trace-0123":
+        fail(f"trace probe access record wrong: {traced}")
     print(f"access trace ok: {len(records)} profiles exported, "
-          f"1-in-{ACCESS_SAMPLE} sampling held")
+          f"1-in-{TRACE_SAMPLE} sampling held")
+    return records
 
 
 def check_duel_top(port, env, artifacts):
@@ -427,7 +460,7 @@ def main():
          "--port", "0", "--workers", "4", "--max-clients", "16",
          "--query-log", qlog_path, "--trace-json", traces_path,
          "--access-trace", access_path,
-         "--access-sample", str(ACCESS_SAMPLE),
+         "--trace-sample", str(TRACE_SAMPLE),
          "--metrics-port", "0", source],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env)
@@ -493,8 +526,7 @@ def main():
 
     check_query_log(qlog_path)
     check_metrics(body)
-    check_traces_file(traces_path)
-    check_access_trace(access_path)
+    check_traces_file(traces_path, check_access_trace(access_path))
     print("serve smoke: all checks passed")
 
 

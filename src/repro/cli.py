@@ -19,6 +19,7 @@ Inside the REPL::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import sys
 from typing import Optional, Sequence
@@ -46,7 +47,8 @@ DUEL REPL commands:
   accesses <expr>       run with the memory-access tracer; print the
                         stride/locality profile and prefetch advice
   cache                 page-cache statistics (--page-cache demand)
-  trace on|off          trace every query (events kept in a ring buffer)
+  trace on|off          trace every sampled query (events kept in a
+                        ring buffer; --trace-sample N traces 1 in N)
   qlog on|off           toggle the structured query log (--query-log)
   metrics [export]      metrics registry table, or Prometheus text format
   statements [by KEY]   per-query-shape statistics (total_ms, calls, ...)
@@ -490,12 +492,17 @@ def main(argv: Optional[Sequence[str]] = None,
                              "accesses (strides, page locality, scan "
                              "pattern) and write one JSONL record per "
                              "profiled query to FILE")
-    parser.add_argument("--access-sample", type=int, default=1,
+    parser.add_argument("--trace-sample", type=int, default=1,
                         metavar="N",
-                        help="profile 1-in-N queries for "
-                             "--access-trace ('accesses' and the wire "
-                             "accesses op always profile; default 1 = "
-                             "every query)")
+                        help="observe 1-in-N queries in depth: trace "
+                             "them (--trace-json, 'trace on'), profile "
+                             "their accesses (--access-trace) and "
+                             "record their explain trees (--dump-dir); "
+                             "'explain', 'accesses' and profiled "
+                             "requests always are, and served "
+                             "truncated, faulted, cancelled and slow "
+                             "queries always export a request trace "
+                             "(default 1 = every query)")
     parser.add_argument("--dump-dir", metavar="DIR", default=None,
                         help="enable the flight recorder; write "
                              "post-mortem JSON dumps into DIR on "
@@ -591,12 +598,6 @@ def main(argv: Optional[Sequence[str]] = None,
                                   "the shared target (journaled and "
                                   "replayed on recovery) instead of "
                                   "being rolled back")
-    serve_group.add_argument("--trace-sample", type=int, default=1,
-                             metavar="N",
-                             help="export 1-in-N request traces to "
-                                  "--trace-json (truncated, faulted, "
-                                  "cancelled and slow queries always "
-                                  "export; default 1 = every query)")
     serve_group.add_argument("--slow-ms", type=float, default=None,
                              metavar="MS",
                              help="queries slower than MS total are "
@@ -611,10 +612,9 @@ def main(argv: Optional[Sequence[str]] = None,
     parser.add_argument("args", nargs="*", default=[],
                         help="argv for the target program (after --)")
     ns = parser.parse_args(argv)
-    for name in ("trace_sample", "access_sample"):
-        if getattr(ns, name) < 1:
-            out.write(f"error: {name.replace('_', ' ')} must be >= 1\n")
-            return 1
+    if ns.trace_sample < 1:
+        out.write("error: trace sample must be >= 1\n")
+        return 1
 
     try:
         program = build_target(ns.source, ns.args, out)
@@ -648,65 +648,42 @@ def main(argv: Optional[Sequence[str]] = None,
                           page_cache=page_cache, **limit_kwargs)
     from repro.obs.statements import StatementStats
     session.statements = StatementStats()
-    sink = None
-    if ns.trace_json:
-        from repro.obs.trace import JsonlSink
+    if ns.trace_sample > 1:
+        from repro.obs.trace import Sampler
+        session.sampler = Sampler(ns.trace_sample)
+    # Each resource joins the stack as it opens, so every exit — a
+    # setup error below or the end of the session — closes all of them.
+    with contextlib.ExitStack() as resources:
         try:
-            sink = JsonlSink(ns.trace_json)
+            if ns.trace_json:
+                from repro.obs.trace import JsonlSink
+                session.trace_sink = JsonlSink(ns.trace_json)
+                resources.callback(session.trace_sink.close)
+                session.tracing = True
+            if ns.query_log:
+                from repro.obs.qlog import QueryLog
+                session.qlog = QueryLog(ns.query_log)
+                resources.callback(session.qlog.close)
+            if ns.access_trace:
+                from repro.obs.access import AccessLog
+                session.accesslog = AccessLog(ns.access_trace)
+                resources.callback(session.accesslog.close)
+            if ns.dump_dir:
+                import os
+
+                from repro.obs.recorder import FlightRecorder
+                os.makedirs(ns.dump_dir, exist_ok=True)
+                session.recorder = FlightRecorder(dump_dir=ns.dump_dir)
+            if ns.metrics_port is not None:
+                from repro.obs.exposition import MetricsServer
+                server = MetricsServer(session.metrics,
+                                       port=ns.metrics_port)
+                resources.callback(server.stop)
+                port = server.start()
+                out.write(f"metrics: http://127.0.0.1:{port}/metrics\n")
         except OSError as error:
             out.write(f"error: {error}\n")
             return 1
-        session.trace_sink = sink
-        session.tracing = True
-    qlog = None
-    if ns.query_log:
-        from repro.obs.qlog import QueryLog
-        try:
-            qlog = QueryLog(ns.query_log)
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            return 1
-        session.qlog = qlog
-    accesslog = None
-    if ns.access_trace:
-        from repro.obs.access import AccessLog
-        try:
-            accesslog = AccessLog(ns.access_trace,
-                                  sample=ns.access_sample)
-        except (OSError, ValueError) as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            return 1
-        session.accesslog = accesslog
-    if ns.dump_dir:
-        from repro.obs.recorder import FlightRecorder
-        try:
-            import os
-            os.makedirs(ns.dump_dir, exist_ok=True)
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            if accesslog is not None:
-                accesslog.close()
-            return 1
-        session.recorder = FlightRecorder(dump_dir=ns.dump_dir)
-    server = None
-    if ns.metrics_port is not None:
-        from repro.obs.exposition import MetricsServer
-        server = MetricsServer(session.metrics, port=ns.metrics_port)
-        try:
-            port = server.start()
-        except OSError as error:
-            out.write(f"error: {error}\n")
-            if qlog is not None:
-                qlog.close()
-            if accesslog is not None:
-                accesslog.close()
-            return 1
-        out.write(f"metrics: http://127.0.0.1:{port}/metrics\n")
-    try:
         if ns.expr:
             for text in ns.expr:
                 out.write(f"duel {text}\n")
@@ -716,15 +693,6 @@ def main(argv: Optional[Sequence[str]] = None,
             out.write("DUEL reproduction; 'help' for commands, "
                       "'quit' to exit\n")
         return repl(session, stdin=stdin, out=out)
-    finally:
-        if server is not None:
-            server.stop()
-        if qlog is not None:
-            qlog.close()
-        if accesslog is not None:
-            accesslog.close()
-        if sink is not None:
-            sink.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

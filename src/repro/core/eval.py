@@ -41,8 +41,7 @@ from repro.core.errors import (
     DuelTypeError,
 )
 from repro.core.governor import ResourceGovernor
-from repro.target.interface import (AccessTracingBackend, GovernedBackend,
-                                    TracingBackend)
+from repro.target.interface import GovernedBackend, TracingBackend
 from repro.target.memory import TargetMemoryFault
 from repro.target.program import TargetRuntimeError
 from repro.core.ops import Apply
@@ -181,15 +180,13 @@ class Evaluator:
         # All target traffic flows through the governed wrapper so
         # call/allocation quotas and the cancel token are enforced at
         # the interface boundary, whatever engine drives the AST; the
-        # access wrapper streams (op, address, size) to the memory
-        # observatory when a tracer is attached; the tracing wrapper
-        # outermost counts reads/writes/calls and attributes them to
-        # the active trace span.
+        # tracing wrapper outermost counts reads/writes/calls and hands
+        # them (with addresses, for the memory observatory) to the
+        # active tracer.
         self.governed_backend = GovernedBackend(backend, self.governor)
-        self.access_backend = AccessTracingBackend(self.governed_backend)
-        self.backend = TracingBackend(self.access_backend)
+        self.backend = TracingBackend(self.governed_backend)
         #: The active PageCachingBackend, or None (cache off: the hop
-        #: is left out of the chain entirely, like an idle access hop).
+        #: is left out of the chain entirely).
         self.page_cache = None
         self.link_chain()
         #: The active QueryTracer, or None (tracing off: the only cost
@@ -272,30 +269,21 @@ class Evaluator:
         """Attach (or detach, with None) a per-query tracer.
 
         Propagated to the tracing backend so target traffic lands on
-        the span of whichever node is being pulled.
+        the span of whichever node is being pulled (and, for an
+        access-traced query, in the tracer's access ring).
         """
         self.tracer = tracer
         self.backend.tracer = tracer
-
-    def set_access_tracer(self, tracer) -> None:
-        """Attach (or detach, with None) a memory-access tracer.
-
-        The tracer receives ``on_access(op, address, size)`` for every
-        target read/write at the interface boundary; detaching takes
-        the access hop out of the chain (:meth:`link_chain`).
-        """
-        self.access_backend.tracer = tracer
-        self.link_chain()
 
     def set_page_cache(self, policy) -> None:
         """Install (or remove, with None) the target page cache.
 
         ``policy`` is a :class:`~repro.target.pagecache.PageCachePolicy`
-        (or None).  The cache slots *between* the access wrapper and
-        the governed backend — the access tracer keeps seeing every
-        logical read (the engine-parity oracle and scan classifier
-        stay cache-independent) while the cache turns runs of small
-        reads into bulk inner ones.  Requires a backend that exposes
+        (or None).  The cache slots *between* the tracing wrapper and
+        the governed backend — the tracer keeps seeing every logical
+        read (the engine-parity oracle and scan classifier stay
+        cache-independent) while the cache turns runs of small reads
+        into bulk inner ones.  Requires a backend that exposes
         the target's memory (for the coherence epoch); without one
         the cache is refused and the chain runs uncached.
         """
@@ -314,21 +302,19 @@ class Evaluator:
     def link_chain(self) -> None:
         """Lay out the backend chain and bind each hop's next read/write.
 
-        The active hops, outermost first: tracing; access, when a
-        tracer is attached; page cache, when a policy is set;
-        governed.  Each hop's bound ``_inner_get``/``_inner_put`` are
-        pointed at the next active hop once, here, so a hop that is
-        off costs the read/write hot path nothing: with no tracer and
-        no cache the tracing hop calls the target's own bound
-        ``get_target_bytes`` (resolved through the governed hop's
-        delegation at bind time).  ``is_mapped``, asked on every index
-        bounds check and ``-->`` step and metered by no hop, is bound
-        on every hop straight to the target's.  Rebinding costs a few
-        attribute stores, paid only when the configuration changes.
+        The active hops, outermost first: tracing; page cache, when a
+        policy is set; governed.  Each hop's bound
+        ``_inner_get``/``_inner_put`` are pointed at the next active
+        hop once, here, so a hop that is off costs the read/write hot
+        path nothing: with no cache the tracing hop calls the target's
+        own bound ``get_target_bytes`` (resolved through the governed
+        hop's delegation at bind time).  ``is_mapped``, asked on every
+        index bounds check and ``-->`` step and metered by no hop, is
+        bound on every hop straight to the target's.  Rebinding costs
+        a few attribute stores, paid only when the configuration
+        changes.
         """
         hops = [self.backend]
-        if self.access_backend.tracer is not None:
-            hops.append(self.access_backend)
         if self.page_cache is not None:
             hops.append(self.page_cache)
         hops.append(self.governed_backend)

@@ -35,12 +35,11 @@ from repro.core.format import ValueFormatter
 from repro.core.parser import DuelParser
 from repro.core.symbolic import DEFAULT_FOLD
 from repro.core.values import DuelValue
-from repro.obs.access import (DEFAULT_PAGE_SIZE, AccessLog, AccessTracer,
-                              advise)
+from repro.obs.access import DEFAULT_PAGE_SIZE, AccessLog, advise
 from repro.obs.metrics import MetricsRegistry, registry as process_registry
 from repro.obs.qlog import QueryLog, classify
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import QueryTracer, RingBufferSink, TraceSink
+from repro.obs.trace import QueryTracer, RingBufferSink, Sampler, TraceSink
 
 
 #: Prepared queries a session keeps (least recently used evicted).  At
@@ -89,24 +88,31 @@ class QueryRecord:
     query that never compiled).  ``outcome`` is a qlog terminal
     event name, ``kind`` the governor verdict, ``error`` the exception
     that ended the query; ``stats``/``phases`` stay empty for a
-    rejected query.  ``access``/``access_records`` are an
-    access-traced query's profile and raw records, ``string_cache``
-    its string-literal cache hit/miss deltas, ``session`` the session
-    that ran it (post-mortems snapshot its metrics and limits).
+    rejected query.  ``sampled`` is the query's one observation
+    verdict (forced, or the session's sampler said yes): every
+    in-depth view — engine tracer, access profile, the recorder's
+    explain tree, a served request-trace export — follows it.
+    ``access``/``access_records`` are an access-traced query's profile
+    and raw records, ``string_cache`` its string-literal cache hit/miss
+    deltas, ``session`` the session that ran it (post-mortems snapshot
+    its metrics and limits).
     """
 
     __slots__ = ("session", "qid", "text", "prepared", "trace_id",
-                 "outcome", "kind", "values", "error", "stats", "phases",
-                 "access", "access_records", "tracer", "string_cache")
+                 "sampled", "outcome", "kind", "values", "error", "stats",
+                 "phases", "access", "access_records", "tracer",
+                 "string_cache")
 
     def __init__(self, session, qid: Optional[int], text: str,
                  prepared: Optional[Prepared] = None,
-                 trace_id: Optional[str] = None, error=None):
+                 trace_id: Optional[str] = None, error=None,
+                 sampled: bool = True):
         self.session = session
         self.qid = qid
         self.text = text
         self.prepared = prepared
         self.trace_id = trace_id
+        self.sampled = sampled
         self.outcome = "rejected"
         self.kind = None
         self.values = 0
@@ -196,7 +202,12 @@ class DuelSession:
         #: process-level registry; pass your own for isolation).
         self.metrics = metrics if metrics is not None \
             else process_registry()
-        #: Trace every query driven by :meth:`duel` (REPL ``trace on``).
+        #: Decides which queries are observed in depth (engine tracer,
+        #: access profile, recorder explain tree, served trace export):
+        #: one coin per query, ``--trace-sample N``.  None observes
+        #: every query.
+        self.sampler: Optional[Sampler] = None
+        #: Trace every sampled query (REPL ``trace on``).
         self.tracing = False
         #: Sink receiving trace events while :attr:`tracing` is on;
         #: None means a fresh in-memory ring per query.
@@ -210,14 +221,13 @@ class DuelSession:
         #: lifecycle event (``--query-log`` / ``qlog on``).
         self.qlog: Optional[QueryLog] = None
         #: Flight recorder of recent completed queries.  Attaching one
-        #: also turns per-query tracing on, so recorded entries (and
+        #: also traces every sampled query, so recorded entries (and
         #: post-mortem dumps) carry EXPLAIN profile trees.
         self.recorder: Optional[FlightRecorder] = None
         #: Statement-statistics table (``repro.obs.statements``).
         self.statements = None
         #: Memory-access profile exporter (``--access-trace``).  When
-        #: attached, its head-sampling coin decides which queries run
-        #: with the access tracer on.
+        #: attached, every sampled query runs access-traced.
         self.accesslog: Optional[AccessLog] = None
         #: Page size (bytes) access profiles aggregate locality at.
         self.access_page_size = DEFAULT_PAGE_SIZE
@@ -349,7 +359,7 @@ class DuelSession:
             raise
 
     def ievents(self, text: str, on_begin=None, access: bool = False,
-                trace: bool = False,
+                trace: bool = False, force: bool = False,
                 trace_id: Optional[str] = None) -> Iterator[tuple]:
         """Drive one query as a stream of ``(kind, payload)`` events.
 
@@ -382,15 +392,22 @@ class DuelSession:
         ``stats``/``phases``.  ``on_begin`` (when given) runs after the
         governor reset but before the first value is pulled — the
         serve layer uses it to close the race between a ``cancel``
-        frame and query start.  ``access=True`` forces the
-        memory-access tracer on for this query (the ``accesses``
-        command); otherwise the access log's sampling coin decides,
-        and with no access log attached the cost is one predicate.
-        ``trace=True`` forces the engine tracer on for this query
-        (``explain``, a sampled or profiled served request), and
-        ``trace_id`` is the wire trace id the record carries.
+        frame and query start.
+
+        Whether the query is observed in depth is decided once, here:
+        ``force=True`` (``explain``, ``accesses``, a profiled served
+        request) says yes, otherwise the session's :attr:`sampler`
+        tosses its coin (no sampler: yes).  An observed query runs the
+        engine tracer when ``trace=True`` (the caller wants its span
+        tree), :attr:`tracing` is on or a recorder is attached, and
+        records its target accesses when ``access=True`` or an access
+        log is attached; the verdict rides on the record as
+        ``record.sampled``.  ``trace_id`` is the wire trace id the
+        record carries.
         """
         self.governor.begin_query()
+        sampler = self.sampler
+        sampled = force or sampler is None or sampler.sample()
         qlog = self.qlog
         qid = qlog.begin(text, "generator") if qlog is not None else None
         t0 = perf_counter_ns()
@@ -399,7 +416,8 @@ class DuelSession:
         except DuelError as error:
             record = self._publish(QueryRecord(self, qid, text,
                                                trace_id=trace_id,
-                                               error=error))
+                                               error=error,
+                                               sampled=sampled))
             yield ("error", {"values": 0, "error": str(error),
                              "error_type": type(error).__name__,
                              "record": record})
@@ -411,14 +429,8 @@ class DuelSession:
         self._record(text)
         if on_begin is not None:
             on_begin()
-        accesslog = self.accesslog
-        profiled = access or (accesslog is not None
-                              and accesslog.sample_next())
-        tracer = self._attach_tracer(node, text, trace, profiled)
-        atracer = None
-        if profiled:
-            atracer = AccessTracer(spans=tracer)
-            self.evaluator.set_access_tracer(atracer)
+        tracer = self._attach_tracer(node, text, trace, access) \
+            if sampled else None
         checkpoint = self._checkpoint_for(prepared)
         self.evaluator.reset()
         baseline = self._stats_baseline()
@@ -450,9 +462,9 @@ class DuelSession:
                 raise
         finally:
             record = self._publish(self._finish_query(
-                QueryRecord(self, qid, text, prepared, trace_id, failure),
-                tracer, atracer, baseline, parse_ns,
-                perf_counter_ns() - drive_t0))
+                QueryRecord(self, qid, text, prepared, trace_id, failure,
+                            sampled),
+                tracer, baseline, parse_ns, perf_counter_ns() - drive_t0))
         info: dict = {"values": produced, "stats": record.stats,
                       "phases": record.phases, "record": record}
         if record.kind is not None:
@@ -519,7 +531,7 @@ class DuelSession:
         import sys
         from repro.obs.explain import profile_footer, render_profile
         stream = out if out is not None else sys.stdout
-        for kind, info in self.ievents(text, trace=True):
+        for kind, info in self.ievents(text, trace=True, force=True):
             if kind == "error":
                 stream.write(info["error"] + "\n")
                 return
@@ -534,29 +546,30 @@ class DuelSession:
             stream.write(note + "\n")
 
     # -- per-query accounting ------------------------------------------------
-    def _attach_tracer(self, node: N.Node, text: str, trace: bool = False,
-                       access: bool = False) -> Optional[QueryTracer]:
-        """A fresh per-query engine tracer, or None when nothing wants one.
+    def _attach_tracer(self, node: N.Node, text: str, trace: bool,
+                       access: bool) -> Optional[QueryTracer]:
+        """A fresh engine tracer for an observed query, or None when
+        nothing wants one.
 
-        Tracing (``trace``, or REPL ``trace on``) rings up to 64k
-        events; the flight recorder implies a tracer with a much
-        smaller ring (post-mortems want span aggregates plus a short
-        event tail); an access-traced query gets a bare, sinkless one
-        — access records carry the preorder index of the node being
-        pulled, which lives on its span stack.
+        ``trace on`` hands its events to :attr:`trace_sink` or rings
+        up to 64k of them; the flight recorder rings a short tail
+        (post-mortems want span aggregates plus the last events);
+        ``trace`` alone wants only the span tree, and an access-traced
+        query (``access`` or an access log) keeps its access ring on
+        the same tracer.
         """
-        recorder = self.recorder
-        traced = trace or self.tracing
-        if traced or recorder is not None:
+        access = access or self.accesslog is not None
+        if self.tracing:
             sink = self.trace_sink
             if sink is None:
-                sink = RingBufferSink(65536 if traced
-                                      else recorder.ring_capacity)
-        elif access:
+                sink = RingBufferSink(65536)
+        elif self.recorder is not None:
+            sink = RingBufferSink(self.recorder.ring_capacity)
+        elif trace or access:
             sink = None
         else:
             return None
-        tracer = QueryTracer(sink)
+        tracer = QueryTracer(sink, access)
         tracer.begin(node, text)
         self.evaluator.set_tracer(tracer)
         return tracer
@@ -572,7 +585,7 @@ class DuelSession:
         classification, page locality) plus the prefetch advisor's
         projected hit rates for the recorded trace.
         """
-        for kind, info in self.ievents(text, access=True):
+        for kind, info in self.ievents(text, access=True, force=True):
             pass
         record = info["record"]
         result: dict = {"outcome": kind, "values": info["values"]}
@@ -632,10 +645,10 @@ class DuelSession:
                 evaluator.string_cache_hits, evaluator.string_cache_misses,
                 cache.counters() if cache is not None else None)
 
-    def _finish_query(self, record: QueryRecord, tracer, atracer,
+    def _finish_query(self, record: QueryRecord, tracer,
                       baseline: tuple, parse_ns: int,
                       drive_ns: int) -> QueryRecord:
-        """Freeze the clock, detach the tracers, complete ``record``.
+        """Freeze the clock, detach the tracer, complete ``record``.
 
         Fills in the outcome, the governor counters plus the query's
         target-traffic, lookup and page-cache deltas, the phase split
@@ -648,10 +661,10 @@ class DuelSession:
             tracer.finish()
             evaluator.set_tracer(None)
             record.tracer = tracer
-        if atracer is not None:
-            evaluator.set_access_tracer(None)
-            record.access_records = atracer.records()
-            record.access = atracer.profile(self.access_page_size)
+            if tracer.access_ring is not None:
+                record.access_records = tracer.access_records()
+                record.access = tracer.access_profile(
+                    self.access_page_size)
         backend = evaluator.backend
         (reads0, writes0, calls0, allocs0, lookups0, hits0, misses0,
          cache0) = baseline

@@ -1,19 +1,17 @@
-"""Target memory-access observatory: traces, profiles, prefetch advice.
+"""Target memory-access observatory: profiles and prefetch advice.
 
 The fleet is legible at the query level (spans, qlog, statements,
 ``duel-top``) but the scalar read counter says nothing about *where*
 target traffic lands: BENCH_3 records ``hash_scan`` issuing 1234
 ``get_target_bytes`` calls to yield 2 values with no addresses, no
-strides, no locality.  This module instruments the same narrow
+strides, no locality.  An access-traced query's engine tracer
+(:class:`~repro.obs.trace.QueryTracer`) keeps a bounded ring of
+``(op, address, size, span)`` records, fed at the narrow
 DebuggerInterface Hanson's design already funnels everything through
-(:class:`~repro.target.interface.AccessTracingBackend` is the hook)
-and turns the raw access stream into answers:
+(:class:`~repro.target.interface.TracingBackend`, the same hop that
+counts reads onto spans); ``span`` is the preorder index of the AST
+node being pulled.  This module turns that raw stream into answers:
 
-* :class:`AccessTracer` — a bounded, lock-safe ring of per-query
-  access records ``(op, address, size, span)`` where ``span`` is the
-  preorder index of the AST node being pulled (attributed through the
-  engine's :class:`~repro.obs.trace.QueryTracer` stack, the same way
-  read *counts* land on spans today);
 * :func:`profile_records` — the per-query **access profile**: total
   and unique bytes (interval-merged), unique pages at a configurable
   page size, re-read ratio, a stride histogram over consecutive read
@@ -30,31 +28,24 @@ and turns the raw access stream into answers:
   rate each configuration would have had.  A demand page cache
   (:mod:`repro.target.pagecache`) is that LRU, so the ``accesses``
   report sets its measured hit rate beside the projection;
-* :class:`AccessLog` — ``--access-trace`` JSONL export with the same
-  head-based 1-in-N sampling discipline as the request-trace log.
+* :class:`AccessLog` — the ``--access-trace`` JSONL export.
 
-Hot-path discipline matches every prior observability layer: with
-access tracing off the evaluator splices the
-:class:`~repro.target.interface.AccessTracingBackend` hop out of the
-read path entirely (attach/detach rebinds the outer counter's bound
-methods), gated <5% on P3 by ``benchmarks/bench_access.py``;
-everything in this module runs only when a tracer is attached.
+Hot-path discipline matches every prior observability layer: a query
+nobody access-traces pays nothing here, and a read pays one predicate
+in the tracing hop (gated <5% on P3 by ``benchmarks/bench_access.py``);
+which queries are access-traced is the session's one sampling verdict
+(:class:`~repro.obs.trace.Sampler`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-from collections import Counter, OrderedDict, deque
+from collections import Counter, OrderedDict
 from typing import Optional
+
+from repro.obs.jsonl import JsonlFile
 
 #: Default page size (bytes) profiles aggregate locality at.
 DEFAULT_PAGE_SIZE = 64
-
-#: Default ring capacity: enough for the worst observed workload
-#: (hash_scan's 1234 reads) with two orders of magnitude of headroom.
-DEFAULT_CAPACITY = 65536
 
 #: The advisor's default sweep: page size × cache capacity (pages).
 ADVISOR_PAGE_SIZES = (64, 256, 4096)
@@ -72,64 +63,6 @@ _DOMINANT_SHARE = 0.70
 #: Revisit ratio below which an irregular scan is a chain walk
 #: (every cell visited about once) rather than random access.
 _CHASE_REVISIT = 0.05
-
-
-class AccessTracer:
-    """A bounded, lock-safe ring of one query's target accesses.
-
-    Fed by :class:`~repro.target.interface.AccessTracingBackend` with
-    one :meth:`on_access` call per ``get_target_bytes`` /
-    ``put_target_bytes``.  ``spans`` is the query's engine tracer
-    (:class:`~repro.obs.trace.QueryTracer`); when given, each record
-    carries the preorder index of the AST node currently being pulled,
-    so a profile can say *which generator* produced the traffic.  The
-    ring drops oldest records past ``capacity`` (``dropped`` counts
-    them) — an unbounded ``1..`` query cannot grow memory here.
-    """
-
-    __slots__ = ("capacity", "_records", "dropped", "total_bytes",
-                 "reads", "writes", "_spans", "_lock")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, spans=None):
-        self.capacity = capacity
-        self._records: deque[tuple] = deque(maxlen=capacity)
-        self.dropped = 0
-        #: Cumulative bytes moved (survives ring rollover).
-        self.total_bytes = 0
-        self.reads = 0
-        self.writes = 0
-        self._spans = spans
-        self._lock = threading.Lock()
-
-    def on_access(self, op: str, address: int, size: int) -> None:
-        """Record one target access (``op`` is ``"r"`` or ``"w"``)."""
-        spans = self._spans
-        stack = spans._stack if spans is not None else None
-        span = stack[-1].index if stack else -1
-        with self._lock:
-            if len(self._records) == self.capacity:
-                self.dropped += 1
-            self._records.append((op, address, size, span))
-            self.total_bytes += size
-            if op == "r":
-                self.reads += 1
-            else:
-                self.writes += 1
-
-    def records(self) -> list[tuple]:
-        """A consistent copy of the ring's ``(op, addr, size, span)``."""
-        with self._lock:
-            return list(self._records)
-
-    def accesses(self) -> list[tuple[str, int, int]]:
-        """The ``(op, address, size)`` sequence (engine-parity oracle)."""
-        return [(op, addr, size) for op, addr, size, _ in self.records()]
-
-    def profile(self, page_size: int = DEFAULT_PAGE_SIZE) -> dict:
-        """The query's access profile (see :func:`profile_records`)."""
-        profile = profile_records(self.records(), page_size=page_size)
-        profile["dropped"] = self.dropped
-        return profile
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> int:
@@ -403,34 +336,18 @@ def render_report(text: str, profile: dict,
 class AccessLog:
     """Thread-safe JSONL exporter for per-query access profiles.
 
-    The ``--access-trace`` sink.  Rides the same head-based sampling
-    discipline as :class:`~repro.obs.reqtrace.TraceLog`: ``sample=N``
-    profiles (and exports) every Nth query — counter-based, so tests
-    are deterministic — and the caller pays the tracing cost only for
-    sampled queries.  :meth:`export` writes whatever it is handed; the
-    sampling policy lives with the caller.
+    The ``--access-trace`` sink: every access-traced query's profile,
+    one ``{"ev": "access", ...}`` line each.  Which queries are
+    access-traced is the session's sampling verdict, not this log's.
     """
 
-    def __init__(self, stream_or_path, sample: int = 1):
-        if sample < 1:
-            raise ValueError("access sample must be >= 1")
-        if isinstance(stream_or_path, (str, os.PathLike)):
-            self._stream = open(stream_or_path, "w")
-            self._owns = True
-        else:
-            self._stream = stream_or_path
-            self._owns = False
-        self.sample = sample
-        self._lock = threading.Lock()
-        self._admissions = 0
-        #: Profiles written so far.
-        self.exported = 0
+    def __init__(self, stream_or_path):
+        self._file = JsonlFile(stream_or_path)
 
-    def sample_next(self) -> bool:
-        """The head-sampling coin: True for every Nth query."""
-        with self._lock:
-            self._admissions += 1
-            return self._admissions % self.sample == 0
+    @property
+    def exported(self) -> int:
+        """Profiles written so far."""
+        return self._file.lines
 
     def observe(self, record) -> None:
         """Export an access-traced query's profile (a session sink;
@@ -448,14 +365,7 @@ class AccessLog:
 
     def export(self, record: dict) -> None:
         """Write one ``{"ev": "access", ...}`` record (flushed)."""
-        line = json.dumps(record) + "\n"
-        with self._lock:
-            self._stream.write(line)
-            self.exported += 1
-            self._stream.flush()
+        self._file.write(record)
 
     def close(self) -> None:
-        with self._lock:
-            self._stream.flush()
-            if self._owns:
-                self._stream.close()
+        self._file.close()

@@ -43,14 +43,13 @@ with the full lifecycle, and the parity property tests in
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from time import perf_counter_ns
 from typing import Optional
 
 from repro.core import nodes as N
 from repro.core.errors import DuelCancelled, DuelError, DuelTruncation
+from repro.obs.jsonl import JsonlFile
 
 #: Every terminal lifecycle event (exactly one per query).
 TERMINAL_EVENTS = frozenset(
@@ -71,11 +70,11 @@ _STAT_FIELDS = ("steps", "lines", "reads", "writes", "calls", "allocs")
 class QueryLog:
     """Append-only JSONL sink for query lifecycle records.
 
-    Accepts a path (opened for writing, closed by :meth:`close`) or
-    any writable text stream.  Query IDs are assigned monotonically by
-    :meth:`begin` and never reused within one log.  ``clock`` is the
-    wall-clock source for the ``ts`` field (override for deterministic
-    tests).
+    Accepts a path or any writable text stream (see
+    :class:`~repro.obs.jsonl.JsonlFile`).  Query IDs are assigned
+    monotonically by :meth:`begin` and never reused within one log.
+    ``clock`` is the wall-clock source for the ``ts`` field (override
+    for deterministic tests).
 
     Safe to share between sessions on different threads (the
     ``repro.serve`` front end funnels every client into one log): qid
@@ -93,27 +92,14 @@ class QueryLog:
 
     def __init__(self, stream_or_path, clock=time.time,
                  fsync: bool = False):
-        if isinstance(stream_or_path, str):
-            self._stream = open(stream_or_path, "w")
-            self._owns = True
-        else:
-            self._stream = stream_or_path
-            self._owns = False
+        self._file = JsonlFile(stream_or_path, fsync=fsync)
         self._clock = clock
-        self._fsync = fsync
         self._next_qid = 1
-        self._lock = threading.Lock()
-        #: Records written so far (all kinds).
-        self.records = 0
 
-    def _flush_locked(self) -> None:
-        self._stream.flush()
-        if self._fsync:
-            try:
-                import os
-                os.fsync(self._stream.fileno())
-            except (OSError, ValueError, AttributeError):
-                pass               # in-memory streams have no fileno
+    @property
+    def records(self) -> int:
+        """Records written so far (all kinds)."""
+        return self._file.lines
 
     # -- lifecycle events --------------------------------------------------
     def begin(self, text: str, engine: str = "generator") -> int:
@@ -124,20 +110,21 @@ class QueryLog:
         and 8 and then write 8's record first, breaking the "file is
         sorted by arrival" property downstream analyzers lean on.
         """
-        with self._lock:
+        with self._file.lock:
             qid = self._next_qid
             self._next_qid = qid + 1
-            self._write_locked({"ev": "received", "qid": qid,
-                                "ts": self._clock(), "text": text,
-                                "engine": engine})
+            self._file.write_locked({"ev": "received", "qid": qid,
+                                     "ts": self._clock(), "text": text,
+                                     "engine": engine}, flush=False)
         return qid
 
     def parsed(self, qid: int, parse_ms: float, node) -> None:
         """The query compiled; ``node`` is the AST root (or a count)."""
         nodes = node if isinstance(node, int) \
             else sum(1 for _ in N.walk(node))
-        self._write({"ev": "parsed", "qid": qid, "ts": self._clock(),
-                     "parse_ms": round(parse_ms, 3), "nodes": nodes})
+        self._file.write({"ev": "parsed", "qid": qid, "ts": self._clock(),
+                          "parse_ms": round(parse_ms, 3), "nodes": nodes},
+                         flush=False)
 
     def end(self, qid: int, outcome: str, *, values: int = 0,
             kind: Optional[str] = None, error=None,
@@ -181,9 +168,7 @@ class QueryLog:
                                 for name, ms in phases.items()}
         if access:
             record["access"] = dict(access)
-        with self._lock:
-            self._write_locked(record)
-            self._flush_locked()
+        self._file.write(record)
 
     def observe(self, record) -> None:
         """Write a finished query's terminal record (a session sink;
@@ -214,29 +199,11 @@ class QueryLog:
                 f"(know: {', '.join(sorted(SERVER_EVENT_KINDS))})")
         record = {"ev": "server", "kind": kind, "ts": self._clock()}
         record.update(fields)
-        with self._lock:
-            self._write_locked(record)
-            self._flush_locked()
-
-    # -- plumbing ----------------------------------------------------------
-    def _write(self, record: dict) -> None:
-        with self._lock:
-            self._write_locked(record)
-
-    def _write_locked(self, record: dict) -> None:
-        self._stream.write(json.dumps(record) + "\n")
-        self.records += 1
-
-    def flush(self) -> None:
-        with self._lock:
-            self._flush_locked()
+        self._file.write(record)
 
     def close(self) -> None:
         """Flush, and close the stream if this log opened it."""
-        with self._lock:
-            self._flush_locked()
-            if self._owns:
-                self._stream.close()
+        self._file.close()
 
 
 def classify(failure) -> tuple[str, Optional[str]]:

@@ -3,9 +3,10 @@
 A long unattended ``duel`` run that dies at 3am used to leave, at
 best, a stack trace.  The flight recorder keeps a bounded deque of the
 last ``capacity`` completed queries — text, outcome, governor stats,
-phase timings, and (because enabling the recorder turns per-query
-tracing on) each query's EXPLAIN profile tree and a bounded ring of
-its pull/yield events — and, when something goes wrong, writes the
+phase timings, and (because an attached recorder traces every sampled
+query: all of them at the default ``--trace-sample 1``) each query's
+EXPLAIN profile tree and a bounded ring of its pull/yield events —
+and, when something goes wrong, writes the
 whole window plus a metrics snapshot and the governor limits in force
 to one self-contained post-mortem JSON file.
 

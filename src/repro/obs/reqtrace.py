@@ -16,22 +16,25 @@ export as one JSONL record per request through :class:`TraceLog`,
 tagged with trace_id/session_id and carrying both the server phase
 spans and the engine's per-AST-node spans when the query ran traced.
 
-Sampling is head-based: ``--trace-sample N`` exports 1-in-N requests
-(decided at admission, counter-based so exactly every Nth request is
-taken — deterministic for tests), **plus** every request that ends
+Sampling is head-based and decided once per query, by the session's
+:class:`~repro.obs.trace.Sampler` (``--trace-sample N``: counter-based,
+so exactly every Nth query is taken — deterministic for tests).  A
+request is exported when its query was sampled, **or** it ended
 truncated, faulted, cancelled or slower than the slow-query threshold,
-regardless of the coin.  The sampled flag also decides whether the
-engine tracer runs, so the per-node instrumentation cost follows the
-same 1-in-N dilution.
+regardless of the coin.  The same verdict decides whether the engine
+tracer runs (and, with ``--access-trace``, whether the query's
+accesses are profiled), so the per-node instrumentation cost follows
+the same 1-in-N dilution, and every sampled access profile has its
+request trace in the export.
 """
 
 from __future__ import annotations
 
 import binascii
-import json
 import os
-import threading
 from typing import Optional
+
+from repro.obs.jsonl import JsonlFile
 
 #: Server phase names, in causal order.
 SERVER_PHASES = ("admission_queue", "session_lock", "parse", "drive",
@@ -59,17 +62,14 @@ class RequestTrace:
     """
 
     __slots__ = ("trace_id", "session_id", "request_id", "text",
-                 "sampled", "spans", "engine_spans", "outcome",
-                 "fingerprint")
+                 "spans", "engine_spans", "outcome", "fingerprint")
 
     def __init__(self, trace_id: str, session_id: str,
-                 request_id: Optional[str] = None, text: str = "",
-                 sampled: bool = True):
+                 request_id: Optional[str] = None, text: str = ""):
         self.trace_id = trace_id
         self.session_id = session_id
         self.request_id = request_id
         self.text = text
-        self.sampled = sampled
         self.spans: list[dict] = []
         self.engine_spans: list[dict] = []
         self.outcome: Optional[str] = None
@@ -119,61 +119,28 @@ class RequestTrace:
 class TraceLog:
     """Thread-safe JSONL exporter for completed request traces.
 
-    Accepts a path (opened and owned) or any writable text stream.
-    ``sample=N`` takes every Nth admission (:meth:`sample_next`); the
-    exporter itself never drops — :meth:`export` writes whatever it is
-    handed, because the caller already applied the sampling policy
-    (head coin OR the always-export outcomes).
+    Accepts a path or any writable text stream (see
+    :class:`~repro.obs.jsonl.JsonlFile`).
     """
 
-    def __init__(self, stream_or_path, sample: int = 1,
-                 fsync: bool = False):
-        if sample < 1:
-            raise ValueError("trace sample must be >= 1")
-        if isinstance(stream_or_path, str):
-            self._stream = open(stream_or_path, "w")
-            self._owns = True
-        else:
-            self._stream = stream_or_path
-            self._owns = False
-        self.sample = sample
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self._admissions = 0
-        #: Traces written so far.
-        self.exported = 0
+    def __init__(self, stream_or_path, fsync: bool = False):
+        self._file = JsonlFile(stream_or_path, fsync=fsync)
 
-    def sample_next(self) -> bool:
-        """The head-sampling coin: True for every Nth admission."""
-        with self._lock:
-            self._admissions += 1
-            return self._admissions % self.sample == 0
+    @property
+    def exported(self) -> int:
+        """Traces written so far."""
+        return self._file.lines
 
-    def should_export(self, trace: RequestTrace,
-                      slow: bool = False) -> bool:
-        """Head coin OR the tail conditions (bad outcome / slow)."""
-        if trace.sampled or slow:
-            return True
-        return trace.outcome in ALWAYS_EXPORT
-
-    def export(self, trace: RequestTrace) -> None:
-        """Write one completed trace (whole record, flushed)."""
-        line = json.dumps(trace.as_dict()) + "\n"
-        with self._lock:
-            self._stream.write(line)
-            self.exported += 1
-            self._stream.flush()
-            if self._fsync:
-                try:
-                    os.fsync(self._stream.fileno())
-                except (OSError, ValueError, AttributeError):
-                    pass           # in-memory streams have no fileno
+    def export(self, trace: RequestTrace, sampled: bool = True,
+               slow: bool = False) -> None:
+        """Write one completed trace (whole record, flushed) when its
+        query was ``sampled``, ``slow``, or ended in one of
+        :data:`ALWAYS_EXPORT`."""
+        if sampled or slow or trace.outcome in ALWAYS_EXPORT:
+            self._file.write(trace.as_dict())
 
     def close(self) -> None:
-        with self._lock:
-            self._stream.flush()
-            if self._owns:
-                self._stream.close()
+        self._file.close()
 
 
 def valid_trace_id(value) -> bool:

@@ -28,6 +28,15 @@ identical event sequences for the same query** — checked by the
 parity property tests in ``tests/property/test_engines.py``, which
 makes the trace stream a correctness oracle for the state machine.
 
+The same tracer is the memory-access observatory's recorder: an
+access-traced query's tracer also keeps a bounded ring of
+``(op, address, size, span)`` records, fed by the same
+:class:`~repro.target.interface.TracingBackend` calls that count reads
+and writes onto spans (:mod:`repro.obs.access` turns the ring into a
+profile).  Whether a query is observed at all — traced, access-traced,
+recorded in depth, exported — is one decision per query, made by one
+:class:`Sampler` in :meth:`~repro.core.session.DuelSession.ievents`.
+
 Trace JSON schema (one object per JSONL line):
 
 ``{"ev": "query", "q": N, "text": "...", "nodes": [{"i":, "op":, "label":}...]}``
@@ -41,16 +50,46 @@ Trace JSON schema (one object per JSONL line):
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from time import perf_counter_ns
 from typing import Iterator, Optional
 
 from repro.core import nodes as N
+from repro.obs.access import DEFAULT_PAGE_SIZE, profile_records
+from repro.obs.jsonl import JsonlFile
 
 #: Events a tracer holds before handing them to its sink.
 EMIT_BATCH = 1024
+
+#: Access records an access-traced query keeps: enough for the worst
+#: observed workload (hash_scan's 1234 reads) with two orders of
+#: magnitude of headroom.
+ACCESS_CAPACITY = 65536
+
+
+class Sampler:
+    """The one head-sampling coin: which queries are observed in depth.
+
+    ``sample()`` is True for every Nth call — counter-based, so
+    exactly every Nth query is taken (deterministic for tests) — and
+    lock-guarded, so one sampler can be shared by every session of a
+    server.  The engine tracer, access tracing, the flight recorder's
+    explain tree and the served request-trace export all follow its
+    one verdict per query (``--trace-sample N``).
+    """
+
+    def __init__(self, every: int = 1):
+        if every < 1:
+            raise ValueError("trace sample must be >= 1")
+        self.every = every
+        self._seen = 0
+        self._lock = threading.Lock()
+
+    def sample(self) -> bool:
+        with self._lock:
+            self._seen += 1
+            return self._seen % self.every == 0
 
 
 class NodeSpan:
@@ -168,53 +207,33 @@ class RingBufferSink(TraceSink):
 class JsonlSink(TraceSink):
     """Writes the trace as JSON-lines (the ``--trace-json`` exporter).
 
-    Accepts any writable text stream; :meth:`close` only closes
-    streams this sink opened itself (when given a path).
-    ``fsync=True`` additionally fsyncs on every flush point, so the
-    trace survives losing the machine, not just losing the process.
+    Accepts a path or any writable text stream (see
+    :class:`~repro.obs.jsonl.JsonlFile`); ``fsync=True`` additionally
+    fsyncs on every flush point, so the trace survives losing the
+    machine, not just losing the process.
     """
 
     def __init__(self, stream_or_path, fsync: bool = False):
-        if isinstance(stream_or_path, str):
-            self._stream = open(stream_or_path, "w")
-            self._owns = True
-        else:
-            self._stream = stream_or_path
-            self._owns = False
-        self._fsync = fsync
+        self._file = JsonlFile(stream_or_path, fsync=fsync)
         self._query = 0
-
-    def _flush(self) -> None:
-        self._stream.flush()
-        if self._fsync:
-            try:
-                import os
-                os.fsync(self._stream.fileno())
-            except (OSError, ValueError, AttributeError):
-                pass               # in-memory streams have no fileno
 
     def begin_query(self, text: str, spans: list) -> None:
         self._query += 1
         nodes = [{"i": s.index, "op": s.op, "label": s.label}
                  for s in spans]
-        self._write({"ev": "query", "q": self._query, "text": text,
-                     "nodes": nodes})
+        self._file.write({"ev": "query", "q": self._query, "text": text,
+                          "nodes": nodes}, flush=False)
 
     def emit(self, kind: str, index: int) -> None:
-        self._write({"ev": kind, "q": self._query, "i": index})
+        self._file.write({"ev": kind, "q": self._query, "i": index},
+                         flush=False)
 
     def end_query(self, spans: list) -> None:
-        for span in spans:
-            record = {"ev": "span", "q": self._query}
-            record.update(span.as_dict())
-            self._write(record)
-        self._flush()
-
-    def _write(self, record: dict) -> None:
-        self._stream.write(json.dumps(record) + "\n")
+        self._file.write(*({"ev": "span", "q": self._query,
+                            **span.as_dict()} for span in spans))
 
     def flush(self) -> None:
-        self._flush()
+        self._file.flush()
 
     def close(self) -> None:
         """Flush, then close the stream if this sink opened it.
@@ -224,9 +243,7 @@ class JsonlSink(TraceSink):
         included), so even a query aborted by ^C leaves its records on
         disk; close is belt-and-braces for session teardown.
         """
-        self._flush()
-        if self._owns:
-            self._stream.close()
+        self._file.close()
 
 
 class QueryTracer:
@@ -238,13 +255,17 @@ class QueryTracer:
     machine); :meth:`finish` hands the sink the last events and the
     span aggregates.  Target traffic lands on the innermost active span
     via :meth:`on_read`/:meth:`on_write`/:meth:`on_call`, fed by
-    :class:`~repro.target.interface.TracingBackend`.
+    :class:`~repro.target.interface.TracingBackend`; with ``access``
+    on, every read and write is also kept as an ``(op, address, size,
+    span)`` record (``span`` -1 when no node is being pulled) in a ring
+    of the last ``ACCESS_CAPACITY``, ``dropped`` counting the rest.
     """
 
     __slots__ = ("sink", "spans", "_by_id", "_stack", "_events",
-                 "query_text")
+                 "query_text", "access_ring", "dropped")
 
-    def __init__(self, sink: Optional[TraceSink] = None):
+    def __init__(self, sink: Optional[TraceSink] = None,
+                 access: bool = False):
         self.sink = sink
         self.spans: list[NodeSpan] = []
         self._by_id: dict[int, NodeSpan] = {}
@@ -252,6 +273,10 @@ class QueryTracer:
         #: Events not yet handed to the sink (None without a sink).
         self._events: Optional[list] = None
         self.query_text = ""
+        #: The access records (None unless access-traced).
+        self.access_ring: Optional[deque] = \
+            deque(maxlen=ACCESS_CAPACITY) if access else None
+        self.dropped = 0
 
     # -- life cycle --------------------------------------------------------
     def begin(self, root: N.Node, text: str = "") -> None:
@@ -366,20 +391,31 @@ class QueryTracer:
         self._stack.pop()
 
     # -- target-traffic attribution ----------------------------------------
-    def on_read(self) -> None:
+    def on_read(self, address: int, size: int) -> None:
         stack = self._stack
         if stack:
             stack[-1].reads += 1
+        if self.access_ring is not None:
+            self._access("r", address, size)
 
-    def on_write(self) -> None:
+    def on_write(self, address: int, size: int) -> None:
         stack = self._stack
         if stack:
             stack[-1].writes += 1
+        if self.access_ring is not None:
+            self._access("w", address, size)
 
     def on_call(self) -> None:
         stack = self._stack
         if stack:
             stack[-1].calls += 1
+
+    def _access(self, op: str, address: int, size: int) -> None:
+        ring = self.access_ring
+        if len(ring) == ring.maxlen:
+            self.dropped += 1
+        stack = self._stack
+        ring.append((op, address, size, stack[-1].index if stack else -1))
 
     # -- reporting ---------------------------------------------------------
     def events(self) -> list[tuple[str, int]]:
@@ -388,6 +424,22 @@ class QueryTracer:
             self._emit()
             return self.sink.snapshot()
         return []
+
+    def access_records(self) -> list[tuple]:
+        """The kept ``(op, address, size, span)`` records, oldest first
+        (empty unless the query is access-traced)."""
+        return list(self.access_ring or ())
+
+    def accesses(self) -> list[tuple[str, int, int]]:
+        """The ``(op, address, size)`` sequence (engine-parity oracle)."""
+        return [record[:3] for record in self.access_records()]
+
+    def access_profile(self, page_size: int = DEFAULT_PAGE_SIZE) -> dict:
+        """The access profile of the kept records
+        (:func:`~repro.obs.access.profile_records`)."""
+        profile = profile_records(self.access_ring or (), page_size)
+        profile["dropped"] = self.dropped
+        return profile
 
     def total_ns(self) -> int:
         """Inclusive nanoseconds of the root span (index 0)."""

@@ -186,13 +186,12 @@ class _Pending:
                  "started_at", "deadline_s", "worker_tid",
                  "worker_thread", "interruptible", "hard_cancelled_at",
                  "idem_lines", "idem_bytes", "idem_clipped",
-                 "trace_id", "sampled", "profile", "admitted_at",
-                 "access")
+                 "trace_id", "profile", "admitted_at", "access")
 
     def __init__(self, conn: "_Connection", client: ClientSession,
                  request_id: int, text: str, idem: Optional[str] = None,
                  writes: Optional[bool] = None,
-                 trace_id: Optional[str] = None, sampled: bool = False,
+                 trace_id: Optional[str] = None,
                  profile: bool = False, access: bool = False):
         self.conn = conn
         self.client = client
@@ -201,8 +200,6 @@ class _Pending:
         #: The wire trace id echoed on every frame for this request.
         self.trace_id = trace_id if trace_id is not None \
             else make_trace_id()
-        #: Head-sampling coin (decided at admission, 1-in-N).
-        self.sampled = sampled
         #: Client asked for the span tree on the terminal frame.
         self.profile = profile
         #: The ``accesses`` wire op: force the memory-access tracer on,
@@ -385,7 +382,7 @@ class DuelServer:
                  session_kwargs: Optional[dict] = None,
                  metrics=None, qlog=None, recorder=None,
                  statements=None, tracelog=None, accesslog=None,
-                 slow_ms: Optional[float] = None,
+                 sampler=None, slow_ms: Optional[float] = None,
                  drain_timeout: float = 10.0,
                  heartbeat_interval: float = 10.0,
                  heartbeat_timeout: float = 30.0,
@@ -423,7 +420,7 @@ class DuelServer:
             session_factory=session_factory,
             journal=self.store.journal if self.store else None,
             commit_writes=commit_writes,
-            accesslog=accesslog)
+            accesslog=accesslog, sampler=sampler)
         self.metrics = metrics
         self.qlog = qlog
         #: Fleet statement statistics (:class:`~repro.obs.statements.
@@ -436,9 +433,17 @@ class DuelServer:
         self.tracelog = tracelog
         #: Shared access-profile exporter (:class:`~repro.obs.access.
         #: AccessLog`) — None keeps the single-predicate off path; when
-        #: set, every client session samples its coin and the
-        #: ``accesses`` op's forced profiles are exported through it.
+        #: set, every sampled query of every client session is
+        #: profiled, and the ``accesses`` op's forced profiles are
+        #: exported through it.
         self.accesslog = accesslog
+        #: The one head-sampling coin (:class:`~repro.obs.trace.
+        #: Sampler`, ``--trace-sample``) every client session tosses
+        #: once per query; None observes every query.  Its verdict
+        #: decides the engine tracer, access profiling and the trace
+        #: export alike, so a sampled access profile always has its
+        #: request trace.
+        self.sampler = sampler
         #: Slow-query threshold, milliseconds (None = off): a served
         #: request slower end-to-end gets a dedicated qlog
         #: ``slow_query`` event, a flight-recorder pin, a slot in
@@ -696,7 +701,8 @@ class DuelServer:
         detail["accesses"] = {"served": self.accesses_served}
         if self.accesslog is not None:
             detail["accesses"]["exported"] = self.accesslog.exported
-            detail["accesses"]["sample"] = self.accesslog.sample
+            detail["accesses"]["sample"] = \
+                self.sampler.every if self.sampler is not None else 1
         detail["cache"] = self._cache_detail()
         return detail
 
@@ -1277,11 +1283,8 @@ class DuelServer:
                              detail=f"idempotent query {idem!r} is "
                                     "still in flight")
             return
-        sampled = self.tracelog.sample_next() \
-            if self.tracelog is not None else False
         pending = _Pending(conn, client, request_id, frame["text"],
                            idem=idem, writes=writes, trace_id=trace_id,
-                           sampled=sampled,
                            profile=bool(frame.get("profile")),
                            access=access)
         conn.add_pending(pending)
@@ -1440,16 +1443,10 @@ class DuelServer:
             trace = RequestTrace(pending.trace_id,
                                  pending.client.resume_key,
                                  request_id=pending.request_id,
-                                 text=pending.text,
-                                 sampled=pending.sampled)
+                                 text=pending.text)
             trace.span("admission_queue",
                        (pending.started_at - pending.admitted_at)
                        * 1000.0)
-        # The engine's per-AST-node tracer follows the sampling coin
-        # (or an explicit profile request), so its per-pull cost is
-        # diluted 1-in-N exactly like the export volume.
-        engine_traced = pending.profile or (
-            self.tracelog is not None and pending.sampled)
         stream_ms = 0.0
         batch: list[str] = []
         batch_bytes = 0
@@ -1476,7 +1473,14 @@ class DuelServer:
                 on_lock=(None if trace is None else
                          lambda kind, ms: trace.span("session_lock", ms,
                                                      mode=kind)),
-                access=pending.access, trace=engine_traced,
+                access=pending.access,
+                # The engine's per-AST-node spans go to the trace
+                # export; the session's sampling verdict decides
+                # whether the query runs traced, so the per-pull cost
+                # is diluted 1-in-N exactly like the export volume.
+                # Explicit profile and accesses requests are forced.
+                trace=pending.profile or self.tracelog is not None,
+                force=pending.profile or pending.access,
                 trace_id=pending.trace_id)
             with pending.lock:
                 pending.interruptible = True
@@ -1602,9 +1606,7 @@ class DuelServer:
         if fp is not None:
             trace.fingerprint = fp.hash
             outcome_frame["fingerprint"] = fp.hash
-        if record is not None and record.tracer is not None and (
-                pending.profile or (self.tracelog is not None
-                                    and pending.sampled)):
+        if record is not None and record.tracer is not None:
             trace.engine_spans = [span.as_dict()
                                   for span in record.tracer.spans]
         if pending.profile:
@@ -1642,9 +1644,11 @@ class DuelServer:
                          "threshold_ms": self.slow_ms})
                 except Exception:
                     pass           # pinning must never cost a reply
-        if self.tracelog is not None \
-                and self.tracelog.should_export(trace, slow=slow):
-            self.tracelog.export(trace)
+        if self.tracelog is not None:
+            # A drive that never reached its record tossed no coin.
+            sampled = record.sampled if record is not None \
+                else self.sampler is None
+            self.tracelog.export(trace, sampled, slow)
 
     def _report_health(self, pending: _Pending, outcome_frame: dict) -> None:
         """Feed the circuit breaker from a terminal outcome."""
@@ -1709,6 +1713,7 @@ def run_server(ns, program, limit_kwargs: dict, out,
 
     from repro.obs.metrics import registry as process_registry
     from repro.obs.statements import StatementStats
+    from repro.obs.trace import Sampler
     from repro.serve.journal import JournalError
 
     metrics = process_registry()
@@ -1721,6 +1726,8 @@ def run_server(ns, program, limit_kwargs: dict, out,
     with contextlib.ExitStack() as resources:
         try:
             qlog = recorder = tracelog = accesslog = None
+            sampler = Sampler(ns.trace_sample) \
+                if getattr(ns, "trace_sample", 1) > 1 else None
             if ns.query_log:
                 from repro.obs.qlog import QueryLog
                 qlog = QueryLog(ns.query_log,
@@ -1734,13 +1741,11 @@ def run_server(ns, program, limit_kwargs: dict, out,
                 recorder = FlightRecorder(dump_dir=ns.dump_dir)
             if getattr(ns, "trace_json", None):
                 from repro.obs.reqtrace import TraceLog
-                tracelog = TraceLog(ns.trace_json,
-                                    sample=getattr(ns, "trace_sample", 1))
+                tracelog = TraceLog(ns.trace_json)
                 resources.callback(tracelog.close)
             if getattr(ns, "access_trace", None):
                 from repro.obs.access import AccessLog
-                accesslog = AccessLog(ns.access_trace,
-                                      sample=getattr(ns, "access_sample", 1))
+                accesslog = AccessLog(ns.access_trace)
                 resources.callback(accesslog.close)
             session_kwargs = dict(limit_kwargs)
             session_kwargs["symbolic"] = not ns.no_symbolic
@@ -1754,7 +1759,7 @@ def run_server(ns, program, limit_kwargs: dict, out,
                 session_kwargs=session_kwargs,
                 metrics=metrics, qlog=qlog, recorder=recorder,
                 statements=statements, tracelog=tracelog,
-                accesslog=accesslog,
+                accesslog=accesslog, sampler=sampler,
                 slow_ms=getattr(ns, "slow_ms", None),
                 drain_timeout=ns.drain_timeout,
                 heartbeat_interval=getattr(ns, "heartbeat_interval", 10.0),

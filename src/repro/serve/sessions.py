@@ -320,8 +320,8 @@ class SessionManager:
     (the default attaches a fresh :class:`SimulatorBackend` to the
     shared program with ``session_kwargs``); ``qlog``, ``recorder``,
     ``accesslog`` and ``metrics`` — when given — are sinks shared by
-    every session, which is exactly why those subsystems are
-    lock-guarded.
+    every session, as is ``sampler``, the one head-sampling coin,
+    which is exactly why those subsystems are lock-guarded.
     """
 
     #: Most sessions parked for resume at once (oldest evicted).
@@ -331,13 +331,14 @@ class SessionManager:
                  metrics=None, qlog=None, recorder=None,
                  session_factory: Optional[Callable[[], DuelSession]] = None,
                  journal=None, commit_writes: bool = False,
-                 accesslog=None):
+                 accesslog=None, sampler=None):
         self.program = program
         self._session_kwargs = dict(session_kwargs or {})
         self._metrics = metrics
-        #: Session attribute name -> shared sink (None = not shared).
+        #: Session attribute name -> shared sink or sampler (None =
+        #: not shared).
         self._sinks = {"qlog": qlog, "recorder": recorder,
-                       "accesslog": accesslog}
+                       "accesslog": accesslog, "sampler": sampler}
         self._session_factory = session_factory
         #: The write-ahead :class:`~repro.serve.journal.Journal` (None
         #: when running without ``--state-dir``): session lifecycle,
@@ -638,7 +639,7 @@ class SessionManager:
         ``kind`` ``"read"``/``"write"`` and the milliseconds spent
         acquiring — the serve layer's ``session_lock`` span source.
         ``drive`` passes through to :meth:`DuelSession.ievents`
-        (``on_begin``, ``access``, ``trace``, ``trace_id``).
+        (``on_begin``, ``access``, ``trace``, ``force``, ``trace_id``).
         """
         if client.poisoned:
             from repro.core.errors import DuelTargetError

@@ -14,7 +14,6 @@ for robustness testing and a live-gdb binding
 """
 
 from repro.target.interface import (
-    AccessTracingBackend,
     DebuggerInterface,
     FaultInjectingBackend,
     GovernedBackend,
@@ -26,7 +25,6 @@ from repro.target.program import TargetProgram
 from repro.target.symbols import Symbol, SymbolKind, SymbolTable
 
 __all__ = [
-    "AccessTracingBackend",
     "DebuggerInterface",
     "FaultInjectingBackend",
     "GovernedBackend",

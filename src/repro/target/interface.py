@@ -177,16 +177,18 @@ class GovernedBackend:
 class TracingBackend:
     """Counts target traffic and attributes it to the active trace span.
 
-    Sits outermost in the evaluator's wrapper chain (around
-    :class:`GovernedBackend`), so every read/write/call/alloc the
-    query performs — whichever engine drives it — bumps a process-wide
-    counter here, and, when a
+    Sits outermost in the evaluator's wrapper chain (above the page
+    cache and :class:`GovernedBackend`), so every logical
+    read/write/call/alloc the query performs — whichever engine drives
+    it — bumps a process-wide counter here, and, when a
     :class:`~repro.obs.trace.QueryTracer` is attached, lands on the
-    AST node currently being pulled.  With tracing off the per-read
-    cost is one increment and one predicate check; the bound inner
-    methods are resolved ahead of time (at construction, and by the
-    evaluator's chain builder) to keep the ``__getattr__`` delegation
-    hop off the read/write hot path.
+    AST node currently being pulled; an access-traced query's tracer
+    also records each read's and write's address and size here (the
+    memory-access observatory's one hook).  With tracing off the
+    per-read cost is one increment and one predicate check; the bound
+    inner methods are resolved ahead of time (at construction, and by
+    the evaluator's chain builder) to keep the ``__getattr__``
+    delegation hop off the read/write hot path.
     """
 
     def __init__(self, inner, tracer=None):
@@ -207,14 +209,14 @@ class TracingBackend:
         self.reads += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.on_read()
+            tracer.on_read(address, size)
         return self._inner_get(address, size)
 
     def put_target_bytes(self, address: int, data: bytes) -> None:
         self.writes += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.on_write()
+            tracer.on_write(address, len(data))
         self._inner_put(address, data)
 
     def call_target_func(self, target, raw_args: Sequence):
@@ -233,45 +235,6 @@ class TracingBackend:
         """The cumulative traffic counters as a plain dict."""
         return {"reads": self.reads, "writes": self.writes,
                 "calls": self.calls, "allocs": self.allocs}
-
-
-class AccessTracingBackend:
-    """Streams each target access (op, address, size) to a tracer.
-
-    The memory-access observatory's hook, sitting *inside*
-    :class:`TracingBackend` (which owns the scalar counters and span
-    attribution) and outside :class:`GovernedBackend` — so the
-    addresses it sees are exactly the ones the evaluator asked for,
-    whatever engine drives the query.  Same hot-path discipline as its
-    neighbours, taken one step further: with no tracer attached the
-    evaluator's chain builder
-    (:meth:`~repro.core.eval.Evaluator.link_chain`) leaves this hop
-    out of the read/write path entirely, so direct use costs one
-    predicate and the shipped stack costs nothing.  The tracer is an
-    :class:`~repro.obs.access.AccessTracer` (anything with an
-    ``on_access(op, address, size)`` method works).
-    """
-
-    def __init__(self, inner, tracer=None):
-        self.inner = inner
-        self.tracer = tracer
-        self._inner_get = inner.get_target_bytes
-        self._inner_put = inner.put_target_bytes
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def get_target_bytes(self, address: int, size: int) -> bytes:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_access("r", address, size)
-        return self._inner_get(address, size)
-
-    def put_target_bytes(self, address: int, data: bytes) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_access("w", address, len(data))
-        self._inner_put(address, data)
 
 
 class FaultInjectingBackend(DebuggerInterface):

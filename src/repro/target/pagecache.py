@@ -4,16 +4,15 @@ The classic remote-debugger amortization (Hanson's revisited machine-
 independent debugger): the evaluator asks the target for 4 and 8 byte
 values one at a time, but the narrow interface underneath may be a
 slow channel — so batch.  :class:`PageCachingBackend` sits in the
-evaluator's wrapper chain between the access observatory
-(:class:`~repro.target.interface.AccessTracingBackend`, which must
-keep seeing *logical* reads — the engine-parity oracle and the scan
-classifier both depend on that stream being cache-independent) and
-the quota layer (:class:`~repro.target.interface.GovernedBackend`):
-every read the evaluator issues is served from fixed-size pages, and
-each miss turns into **one bulk inner read** covering the whole run
-of missing pages.  The inner reads are the *physical* traffic; the
-``reads`` counter on the outer
-:class:`~repro.target.interface.TracingBackend` stays logical.
+evaluator's wrapper chain between the tracing hop
+(:class:`~repro.target.interface.TracingBackend`, whose ``reads``
+counter and access records must stay *logical* — the engine-parity
+oracle and the scan classifier both depend on that stream being
+cache-independent) and the quota layer
+(:class:`~repro.target.interface.GovernedBackend`): every read the
+evaluator issues is served from fixed-size pages, and each miss turns
+into **one bulk inner read** covering the whole run of missing pages.
+The inner reads are the *physical* traffic.
 
 Coherence is epoch-based.  :class:`~repro.target.memory.Memory` bumps
 a monotone ``epoch`` on every mutation (writes, mappings, unmappings
@@ -32,8 +31,8 @@ Pages are fetched only when a read demands them: an LRU of pages,
 which is exactly what the access observatory's advisor
 (:func:`~repro.obs.access.simulate_page_cache`) projects.  Policy is
 static per session: ``off`` (not even constructed — the evaluator
-splices the hop out exactly like the access tracer, so the off-path
-cost is zero) or ``demand``.
+leaves the hop out of the chain, so the off-path cost is zero) or
+``demand``.
 """
 
 from __future__ import annotations

@@ -342,7 +342,7 @@ class TestTracingAndStatements:
         from repro.obs.statements import StatementStats
 
         path = tmp_path / "traces.jsonl"
-        tracelog = TraceLog(str(path), sample=1)
+        tracelog = TraceLog(str(path))
         stats = StatementStats()
         server = DuelServer(workloads.big_array(ARRAY), workers=4,
                             queue_depth=32, max_clients=CLIENTS + 4,
@@ -400,7 +400,7 @@ class TestTracingAndStatements:
                    for line in path.read_text().splitlines()]
         by_id = {r["trace_id"]: r for r in records
                  if r["ev"] == "request"}
-        # sample=1: every fleet query's span tree was exported.
+        # No sampler: every fleet query's span tree was exported.
         for trace_id in all_ids:
             record = by_id[trace_id]
             names = [s["name"] for s in record["spans"]]
@@ -409,3 +409,49 @@ class TestTracingAndStatements:
             assert record["engine_spans"], trace_id
             assert record["outcome"] == "done"
             assert record["fingerprint"]
+
+
+class TestOneSamplingVerdict:
+    """One coin per query decides both the request-trace export and
+    the access profile, so the two logs sample the same queries."""
+
+    def test_every_sampled_access_profile_has_its_request_trace(
+            self, tmp_path, metrics):
+        import json
+
+        from repro.obs.access import AccessLog
+        from repro.obs.reqtrace import TraceLog
+        from repro.obs.trace import Sampler
+
+        tracelog = TraceLog(tmp_path / "traces.jsonl")
+        accesslog = AccessLog(tmp_path / "accesses.jsonl")
+        server = DuelServer(workloads.big_array(ARRAY), workers=2,
+                            metrics=metrics, tracelog=tracelog,
+                            accesslog=accesslog, sampler=Sampler(4),
+                            drain_timeout=10.0)
+        server.start()
+        try:
+            with DuelClient(port=server.port, client="coin",
+                            timeout=30.0) as client:
+                probe = client.accesses("x[..8]")
+                assert probe["outcome"] == "done"
+                for index in range(16):
+                    assert client.duel(f"x[{index}]").ok
+        finally:
+            server.stop()
+            tracelog.close()
+            accesslog.close()
+
+        traces = [json.loads(line) for line in
+                  (tmp_path / "traces.jsonl").read_text().splitlines()]
+        profiles = [json.loads(line) for line in
+                    (tmp_path / "accesses.jsonl").read_text().splitlines()]
+        # The forced probe (it does not toss the coin), then every
+        # fourth read: x[3], x[7], x[11], x[15].
+        assert [p["text"] for p in profiles] == \
+            ["x[..8]", "x[3]", "x[7]", "x[11]", "x[15]"]
+        assert len(traces) == 5
+        exported = {trace["trace_id"] for trace in traces}
+        for profile in profiles:
+            assert profile["trace_id"] in exported, profile["text"]
+        assert all(trace["engine_spans"] for trace in traces)

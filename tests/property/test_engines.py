@@ -1,28 +1,57 @@
 """Differential property test: the paper's state-machine engine and the
 native generator engine must be observationally identical (A1)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro import DuelSession, SimulatorBackend, TargetProgram
+from repro.core.errors import DuelTruncation
 from repro.core.statemachine import StateMachineEvaluator
 from repro.target import builder
+
+#: The rig's per-query step budget (the steps limit truncates by
+#: default).  A drawn expression can run for millions of steps —
+#: ``(2 .. ((x[1] .. x[7]) .. (x[1] .. x[7])))`` runs about 8M, long
+#: enough for the wall-clock deadline, not the step count, to decide
+#: where each engine stops.  Under this budget both engines stop at
+#: the same step (``test_engines_trip_step_budget_at_same_count``),
+#: and the harnesses below compare what each produced up to it.
+RIG_STEPS = 100_000
+
+#: The draw that outran the deadline on one engine.
+LONG_DRAW = "(2 .. ((x[1] .. x[7]) .. (x[1] .. x[7])))"
 
 
 @pytest.fixture(scope="module")
 def rig():
     program = TargetProgram()
     builder.int_array(program, "x", [3, -1, 7, 0, 12, -9, 2, 120, 5, -4])
-    session = DuelSession(SimulatorBackend(program))
+    session = DuelSession(SimulatorBackend(program), max_steps=RIG_STEPS)
     return session, StateMachineEvaluator(session.evaluator)
+
+
+def produced(values) -> list:
+    """The values a drive yields before a step budget stops it."""
+    kept = []
+    try:
+        for value in values:
+            kept.append(value)
+    except DuelTruncation:
+        pass
+    return kept
 
 
 def both(rig, text):
     session, sm = rig
     node = session.compile(text)
-    ops = session.evaluator.ops
-    generator = [ops.load(v) for v in session.evaluator.eval(node)]
-    machine = [ops.load(v) for v in sm.drive(node)]
+    evaluator = session.evaluator
+    ops = evaluator.ops
+    evaluator.reset()
+    generator = [ops.load(v) for v in produced(evaluator.eval(node))]
+    evaluator.reset()
+    machine = [ops.load(v) for v in produced(sm.iter_drive(node))]
     return generator, machine
 
 
@@ -95,11 +124,10 @@ def test_engines_charge_identical_step_counts(rig, text):
     node = session.compile(text)
     evaluator = session.evaluator
     evaluator.reset()
-    for _ in evaluator.eval(node):
-        pass
+    produced(evaluator.eval(node))
     generator_steps = session.governor.steps
     evaluator.reset()
-    sm.drive(node)
+    produced(sm.iter_drive(node))
     assert session.governor.steps == generator_steps
 
 
@@ -116,7 +144,7 @@ def traced(rig_pair, node, text, drive):
     session, sm = rig_pair
     from repro.obs.trace import QueryTracer, RingBufferSink
     session.evaluator.reset()
-    tracer = QueryTracer(RingBufferSink())
+    tracer = QueryTracer(RingBufferSink(), access=True)
     tracer.begin(node, text)
     session.evaluator.set_tracer(tracer)
     try:
@@ -131,9 +159,9 @@ def trace_both(rig_pair, text):
     session, sm = rig_pair
     node = session.compile(text)
     generator = traced(rig_pair, node, text,
-                       lambda s, m, n: list(s.evaluator.eval(n)))
+                       lambda s, m, n: produced(s.evaluator.eval(n)))
     machine = traced(rig_pair, node, text,
-                     lambda s, m, n: m.drive(n))
+                     lambda s, m, n: produced(m.iter_drive(n)))
     return generator, machine
 
 
@@ -225,7 +253,7 @@ def qlog_both(rig_pair, text):
 def test_engines_leave_identical_qlog_records(rig, text):
     generator, machine = qlog_both(rig, text)
     assert generator == machine
-    assert generator[-1]["ev"] in ("drained", "faulted")
+    assert generator[-1]["ev"] in ("drained", "faulted", "truncated")
 
 
 def test_engines_log_identical_truncation_records(rig):
@@ -260,37 +288,23 @@ def test_engines_log_identical_rejection_records(rig):
 # observatory) ----------------------------------------------------------
 #
 # The fourth observational surface: the ordered (op, address, size)
-# stream the evaluator sends at the target.  The access tracer hooks
-# the DebuggerInterface itself, below both engines, so any divergence
-# in *which* memory a query touches — not just which values it
-# yields — shows up as a sequence mismatch.  This is also the surface
-# the scan-pattern classifier and prefetch advisor consume, so parity
-# here means profiles and advice are engine-independent too.
-
-def traced_accesses(rig_pair, node, drive):
-    from repro.obs.access import AccessTracer
-    session, sm = rig_pair
-    session.evaluator.reset()
-    tracer = AccessTracer()
-    session.evaluator.set_access_tracer(tracer)
-    try:
-        drive(session, sm, node)
-    finally:
-        session.evaluator.set_access_tracer(None)
-    return tracer
-
+# stream the evaluator sends at the target.  The access-traced engine
+# tracer records it at the DebuggerInterface itself (the tracing hop),
+# below both engines, so any divergence in *which* memory a query
+# touches — not just which values it yields — shows up as a sequence
+# mismatch.  This is also the surface the scan-pattern classifier and
+# prefetch advisor consume, so parity here means profiles and advice
+# are engine-independent too.
 
 def accesses_both(rig_pair, text):
-    session, sm = rig_pair
-    node = session.compile(text)
-    generator = traced_accesses(
-        rig_pair, node, lambda s, m, n: list(s.evaluator.eval(n)))
-    machine = traced_accesses(
-        rig_pair, node, lambda s, m, n: m.drive(n))
-    return generator, machine
+    """Each engine's access stream and profile, from its traced drive."""
+    return tuple(SimpleNamespace(accesses=tracer.accesses,
+                                 profile=tracer.access_profile)
+                 for tracer in trace_both(rig_pair, text))
 
 
 @given(text=expressions)
+@example(text=LONG_DRAW)
 def test_engines_issue_identical_access_streams(rig, text):
     generator, machine = accesses_both(rig, text)
     assert generator.accesses() == machine.accesses()
@@ -324,8 +338,7 @@ def test_engines_trip_step_budget_at_same_count(rig, text):
     node = session.compile(text)
     evaluator = session.evaluator
     evaluator.reset()
-    for _ in evaluator.eval(node):
-        pass
+    produced(evaluator.eval(node))
     total = session.governor.steps
     assume(total >= 2)
     budget = total // 2

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DuelSession, SimulatorBackend, TargetProgram
 from repro.core.statemachine import StateMachineEvaluator
-from repro.obs.access import AccessTracer
+from repro.obs.trace import QueryTracer
 from repro.target import builder
 from repro.target.pagecache import PageCachePolicy
 
@@ -106,14 +106,22 @@ def observed(session, drive, node, policy):
     evaluator = session.evaluator
     evaluator.reset()
     evaluator.set_page_cache(policy)
-    tracer = AccessTracer()
-    evaluator.set_access_tracer(tracer)
+    tracer = access_tracer(evaluator, node)
     try:
         raw = list(drive(node))
     finally:
-        evaluator.set_access_tracer(None)
+        evaluator.set_tracer(None)
         evaluator.set_page_cache(None)
     return [evaluator.ops.load(v) for v in raw], tracer.accesses()
+
+
+def access_tracer(evaluator, node):
+    """Attach an access-traced engine tracer for one drive of ``node``
+    (the caller detaches it with ``set_tracer(None)``)."""
+    tracer = QueryTracer(access=True)
+    tracer.begin(node)
+    evaluator.set_tracer(tracer)
+    return tracer
 
 
 @given(text=expressions)
@@ -150,24 +158,22 @@ def test_cache_serves_repeat_scans_without_physical_reads(rig, text):
         list(evaluator.eval(node))
         cache = evaluator.page_cache
         physical_before = cache.physical_reads
-        tracer = AccessTracer()
-        evaluator.set_access_tracer(tracer)
+        tracer = access_tracer(evaluator, node)
         try:
             evaluator.reset()
             list(evaluator.eval(node))
         finally:
-            evaluator.set_access_tracer(None)
+            evaluator.set_tracer(None)
         warm_accesses = tracer.accesses()
         assert cache.physical_reads == physical_before
     finally:
         evaluator.set_page_cache(None)
-    tracer = AccessTracer()
-    evaluator.set_access_tracer(tracer)
+    tracer = access_tracer(evaluator, node)
     try:
         evaluator.reset()
         list(evaluator.eval(node))
     finally:
-        evaluator.set_access_tracer(None)
+        evaluator.set_tracer(None)
     assert warm_accesses == tracer.accesses()
 
 

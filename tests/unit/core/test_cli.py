@@ -285,12 +285,14 @@ class TestSigint:
 
 
 class TestRemovedFlags:
-    """The constant-folding pass and the adaptive prefetcher are gone:
-    their flags are usage errors, not silently ignored."""
+    """The constant-folding pass, the adaptive prefetcher and the
+    access log's own sampling coin are gone: their flags are usage
+    errors, not silently ignored."""
 
     @pytest.mark.parametrize("flags", [
         ["--optimize"],
         ["--page-cache", "adaptive"],
+        ["--access-sample"],
     ])
     def test_refused_by_the_argument_parser(self, source, flags, capsys):
         with pytest.raises(SystemExit) as caught:
@@ -309,7 +311,7 @@ class TestSampleFlags:
         assert status == 1
         assert text == "error: trace sample must be >= 1\n"
 
-    @pytest.mark.parametrize("flag", ["--trace-sample", "--access-sample"])
+    @pytest.mark.parametrize("flag", ["--trace-sample"])
     def test_sample_below_one_refused_without_an_export(self, source,
                                                         flag):
         status, text = run_cli([flag, "-1", "-e", "values[0]", source])

@@ -1,5 +1,6 @@
-"""Memory-access observatory: tracer ring, profiles, classification,
-the prefetch advisor's cache simulation, and the JSONL export."""
+"""Memory-access observatory: the tracer's access ring, profiles,
+classification, the prefetch advisor's cache simulation, and the JSONL
+export."""
 
 import io
 import json
@@ -8,12 +9,13 @@ import pytest
 
 from repro import DuelSession, SimulatorBackend, TargetProgram
 from repro.obs.access import (ADVISOR_CAPACITIES, ADVISOR_PAGE_SIZES,
-                              PATTERNS, AccessLog, AccessTracer,
-                              _merge_intervals, advise, classify_pattern,
-                              compact_profile, profile_records,
-                              render_report, simulate_page_cache)
+                              PATTERNS, AccessLog, _merge_intervals,
+                              advise, classify_pattern, compact_profile,
+                              profile_records, render_report,
+                              simulate_page_cache)
+from repro.obs.trace import QueryTracer, Sampler
 from repro.target import builder
-from repro.target.interface import AccessTracingBackend
+from repro.target.interface import TracingBackend
 
 
 def reads(addresses, size=4):
@@ -26,41 +28,52 @@ def sequential(n, base=0, size=4):
 
 
 # -- the tracer ring ----------------------------------------------------
+#
+# The access tracer is the engine tracer of an access-traced query: a
+# QueryTracer built with ``access=True`` keeps the ring.
 
 class TestAccessTracer:
     def test_records_accesses_in_order(self):
-        tracer = AccessTracer()
-        tracer.on_access("r", 100, 4)
-        tracer.on_access("w", 200, 8)
+        tracer = QueryTracer(access=True)
+        tracer.on_read(100, 4)
+        tracer.on_write(200, 8)
         assert tracer.accesses() == [("r", 100, 4), ("w", 200, 8)]
-        assert tracer.reads == 1
-        assert tracer.writes == 1
-        assert tracer.total_bytes == 12
+        profile = tracer.access_profile()
+        assert (profile["reads"], profile["writes"]) == (1, 1)
+        assert profile["total_bytes"] == 12
 
-    def test_ring_bounds_memory_and_counts_drops(self):
-        tracer = AccessTracer(capacity=4)
+    def test_ring_bounds_memory_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.trace.ACCESS_CAPACITY", 4)
+        tracer = QueryTracer(access=True)
         for i in range(10):
-            tracer.on_access("r", i * 4, 4)
-        assert len(tracer.records()) == 4
+            tracer.on_read(i * 4, 4)
+        assert len(tracer.access_records()) == 4
         assert tracer.dropped == 6
         # The tail survives, the head is gone.
         assert tracer.accesses()[0] == ("r", 24, 4)
-        # Cumulative counters survive rollover.
-        assert tracer.reads == 10
-        assert tracer.total_bytes == 40
-        assert tracer.profile()["dropped"] == 6
+        assert tracer.access_profile()["dropped"] == 6
 
     def test_span_defaults_to_minus_one_without_engine_tracer(self):
-        tracer = AccessTracer()
-        tracer.on_access("r", 0, 4)
-        assert tracer.records() == [("r", 0, 4, -1)]
+        # No node is being pulled: the record names no span.
+        tracer = QueryTracer(access=True)
+        tracer.on_read(0, 4)
+        assert tracer.access_records() == [("r", 0, 4, -1)]
+
+    def test_untraced_access_keeps_no_ring(self):
+        tracer = QueryTracer()
+        tracer.on_read(0, 4)
+        assert tracer.access_ring is None
+        assert tracer.access_records() == []
 
 
 class TestAccessTracingBackend:
+    """The tracing hop is the observatory's one hook: it streams each
+    read's and write's address and size to the attached tracer."""
+
     def backend(self, tracer=None):
         program = TargetProgram()
         builder.int_array(program, "x", [1, 2, 3])
-        return AccessTracingBackend(SimulatorBackend(program), tracer)
+        return TracingBackend(SimulatorBackend(program), tracer)
 
     def test_passes_reads_and_writes_through(self):
         backend = self.backend()
@@ -72,7 +85,7 @@ class TestAccessTracingBackend:
         assert inner.get_target_bytes(address, 4)[0] == 0x2A
 
     def test_streams_accesses_to_tracer(self):
-        tracer = AccessTracer()
+        tracer = QueryTracer(access=True)
         backend = self.backend(tracer)
         address = backend.get_target_variable("x").address
         backend.get_target_bytes(address, 4)
@@ -306,25 +319,34 @@ class TestAccessLog:
             ["x[0]", "x[1]"]
         assert log.exported == 2
 
+    def exported_texts(self, sampler):
+        buffer = io.StringIO()
+        session = array_session(16)
+        session.accesslog = AccessLog(buffer)
+        session.sampler = sampler
+        for index in range(9):
+            session.duel(f"x[{index}]", out=io.StringIO())
+        return [json.loads(line)["text"]
+                for line in buffer.getvalue().splitlines()]
+
     def test_head_sampling_is_counter_based(self):
-        log = AccessLog(io.StringIO(), sample=3)
-        coins = [log.sample_next() for _ in range(9)]
-        assert coins == [False, False, True] * 3
+        # The session's one coin decides which queries are profiled.
+        assert self.exported_texts(Sampler(3)) == ["x[2]", "x[5]", "x[8]"]
 
     def test_sample_one_admits_everything(self):
-        log = AccessLog(io.StringIO())
-        assert all(log.sample_next() for _ in range(5))
+        assert len(self.exported_texts(Sampler(1))) == 9
+        assert len(self.exported_texts(None)) == 9
 
     def test_sample_validated(self):
         with pytest.raises(ValueError):
-            AccessLog(io.StringIO(), sample=0)
+            Sampler(0)
 
     def test_owns_and_closes_path_streams(self, tmp_path):
         path = tmp_path / "acc.jsonl"
         log = AccessLog(path)
         log.export({"ev": "access"})
         log.close()
-        assert log._stream.closed
+        assert log._file._stream.closed
         assert json.loads(path.read_text())["ev"] == "access"
 
 
@@ -373,7 +395,8 @@ class TestSessionAccesses:
     def test_accesslog_sampling_drives_export(self):
         buffer = io.StringIO()
         session = array_session()
-        session.accesslog = AccessLog(buffer, sample=2)
+        session.accesslog = AccessLog(buffer)
+        session.sampler = Sampler(2)
         out = io.StringIO()
         session.duel("x[..4]", out=out)       # coin 1: skipped
         session.duel("x[..4]", out=out)       # coin 2: profiled

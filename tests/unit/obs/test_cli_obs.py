@@ -263,6 +263,41 @@ class TestMetricsPortFlag:
         assert "# TYPE duel_" in scraped["body"]
 
 
+class TestSetupErrorCleanup:
+    @pytest.mark.parametrize("failing", ["--metrics-port", "--dump-dir"])
+    def test_setup_error_closes_every_opened_log(self, source, tmp_path,
+                                                 failing):
+        """A setup step failing after the logs opened (a busy metrics
+        port, an unusable dump directory) returns 1 and leaves no log
+        file open."""
+        import gc
+        import socket
+        import warnings
+        busy = socket.socket()
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        bad = {"--metrics-port": str(busy.getsockname()[1]),
+               "--dump-dir": str(blocker / "dumps")}[failing]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                status, text = run_cli(
+                    [source, "--trace-json", str(tmp_path / "t.jsonl"),
+                     "--query-log", str(tmp_path / "q.jsonl"),
+                     "--access-trace", str(tmp_path / "a.jsonl"),
+                     failing, bad], stdin_text="quit\n")
+                gc.collect()
+        finally:
+            busy.close()
+        assert status == 1
+        assert "\nerror: " in text
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+
 class TestSigintFlush:
     def test_interrupted_drive_still_flushes_qlog_and_trace(
             self, source, tmp_path):
@@ -377,11 +412,11 @@ class TestAccessTraceFlag:
             assert record["profile"]["reads"] > 0
             assert record["fingerprint"]
 
-    def test_access_sample_thins_the_export(self, source, tmp_path):
+    def test_trace_sample_thins_the_access_export(self, source, tmp_path):
         path = tmp_path / "acc.jsonl"
         status, text = run_cli(
             [source, "--access-trace", str(path),
-             "--access-sample", "3"],
+             "--trace-sample", "3"],
             stdin_text="values[0]\nvalues[1]\nvalues[2]\n"
                        "values[3]\nvalues[0]\nvalues[1]\nquit\n")
         records = path.read_text().splitlines()

@@ -116,7 +116,7 @@ class TestSessionExplain:
                               metrics=MetricsRegistry())
         session.recorder = FlightRecorder()
         exported = io.StringIO()
-        session.accesslog = AccessLog(exported, sample=1)
+        session.accesslog = AccessLog(exported)
         session.duel("x[..10] >? 5", out=io.StringIO())
         explain_lines(session, "x[..10] >? 5")
         duel_entry, explain_entry = session.recorder.last(2)

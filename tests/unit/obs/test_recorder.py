@@ -166,6 +166,24 @@ class TestSessionAutoDump:
         assert len(session.recorder.entries) == 1
         assert session.recorder.dumps == 0
 
+    def test_recorder_traces_only_sampled_queries(self):
+        """The recorder follows the one sampling verdict: with
+        ``--trace-sample 10`` it still records every query, but only
+        every tenth runs engine-traced and carries an explain tree."""
+        from repro.obs.trace import Sampler
+        session = array_session()
+        session.recorder = FlightRecorder(capacity=32)
+        session.sampler = Sampler(10)
+        traced = []
+        for index in range(20):
+            session.duel(f"x[{index % 10}]", out=io.StringIO())
+            traced.append(session.last_query.tracer is not None)
+        assert traced == ([False] * 9 + [True]) * 2
+        entries = session.recorder.last()
+        assert len(entries) == 20
+        assert [i for i, e in enumerate(entries) if "explain" in e] == \
+            [9, 19]
+
     def test_recorder_off_costs_nothing_visible(self):
         session = array_session()
         assert session.recorder is None

@@ -8,6 +8,7 @@ import pytest
 from repro.obs.reqtrace import (ALWAYS_EXPORT, SERVER_PHASES,
                                 TRACE_ID_MAX, RequestTrace, TraceLog,
                                 make_trace_id, valid_trace_id)
+from repro.obs.trace import Sampler
 
 
 class TestTraceIds:
@@ -72,49 +73,56 @@ class TestRequestTrace:
 
 
 class TestSampling:
+    # The head coin is the session's one Sampler; the log exports
+    # whatever the query's verdict, its outcome or its slowness say.
     def test_sample_one_takes_everything(self):
-        log = TraceLog(io.StringIO(), sample=1)
-        assert all(log.sample_next() for _ in range(5))
+        sampler = Sampler(1)
+        assert all(sampler.sample() for _ in range(5))
 
     def test_sample_n_takes_every_nth(self):
-        log = TraceLog(io.StringIO(), sample=3)
-        coins = [log.sample_next() for _ in range(9)]
+        sampler = Sampler(3)
+        coins = [sampler.sample() for _ in range(9)]
         assert coins == [False, False, True] * 3
 
     def test_invalid_sample_rejected(self):
         with pytest.raises(ValueError):
-            TraceLog(io.StringIO(), sample=0)
+            Sampler(0)
 
     def test_should_export_sampled(self):
-        log = TraceLog(io.StringIO(), sample=2)
-        trace = RequestTrace("t", "s", sampled=True)
+        log = TraceLog(io.StringIO())
+        trace = RequestTrace("t", "s")
         trace.outcome = "done"
-        assert log.should_export(trace)
+        log.export(trace, sampled=True)
+        assert log.exported == 1
 
     def test_should_export_unsampled_good_outcome(self):
-        log = TraceLog(io.StringIO(), sample=2)
-        trace = RequestTrace("t", "s", sampled=False)
+        stream = io.StringIO()
+        log = TraceLog(stream)
+        trace = RequestTrace("t", "s")
         trace.outcome = "done"
-        assert not log.should_export(trace)
+        log.export(trace, sampled=False)
+        assert stream.getvalue() == "" and log.exported == 0
 
     @pytest.mark.parametrize("outcome", sorted(ALWAYS_EXPORT))
     def test_bad_outcomes_always_export(self, outcome):
-        log = TraceLog(io.StringIO(), sample=1000)
-        trace = RequestTrace("t", "s", sampled=False)
+        log = TraceLog(io.StringIO())
+        trace = RequestTrace("t", "s")
         trace.outcome = outcome
-        assert log.should_export(trace)
+        log.export(trace, sampled=False)
+        assert log.exported == 1
 
     def test_slow_always_exports(self):
-        log = TraceLog(io.StringIO(), sample=1000)
-        trace = RequestTrace("t", "s", sampled=False)
+        log = TraceLog(io.StringIO())
+        trace = RequestTrace("t", "s")
         trace.outcome = "done"
-        assert log.should_export(trace, slow=True)
+        log.export(trace, sampled=False, slow=True)
+        assert log.exported == 1
 
 
 class TestExport:
     def test_export_writes_jsonl(self):
         stream = io.StringIO()
-        log = TraceLog(stream, sample=1)
+        log = TraceLog(stream)
         trace = RequestTrace("t1", "sess")
         trace.span("drive", 5.0)
         trace.outcome = "done"
@@ -126,7 +134,7 @@ class TestExport:
 
     def test_path_owned_stream(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        log = TraceLog(str(path), sample=1)
+        log = TraceLog(str(path))
         trace = RequestTrace("t1", "sess")
         trace.outcome = "done"
         log.export(trace)
@@ -138,7 +146,7 @@ class TestExport:
     def test_concurrent_export_keeps_lines_whole(self):
         import threading
         stream = io.StringIO()
-        log = TraceLog(stream, sample=1)
+        log = TraceLog(stream)
 
         def export_some(tag):
             for index in range(50):

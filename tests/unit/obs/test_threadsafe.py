@@ -21,7 +21,7 @@ import threading
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.qlog import QueryLog
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import RingBufferSink
+from repro.obs.trace import RingBufferSink, Sampler
 
 THREADS = 4
 ROUNDS = 2000
@@ -319,3 +319,24 @@ class TestFlightRecorderHammer:
                 artifact = json.load(handle)
             assert len(artifact["queries"]) <= 8
             assert artifact["queries_recorded"] >= len(artifact["queries"])
+
+
+class TestSamplerHammer:
+    def test_shared_coin_takes_exactly_one_in_n(self):
+        """Every session of a server tosses one shared coin: a lost
+        increment would take a query twice or skip one."""
+        import sys
+        sampler = Sampler(4)
+        taken = [0] * THREADS
+
+        def worker(index):
+            for _ in range(ROUNDS):
+                taken[index] += sampler.sample()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(taken) == THREADS * ROUNDS // 4

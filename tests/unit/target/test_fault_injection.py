@@ -217,14 +217,13 @@ def test_session_survives_fault_storm():
 def test_bounds_checks_skip_the_hops_delegation(monkeypatch, program):
     """Index bounds checks and ``-->`` steps ask ``is_mapped`` of the
     target directly: no hop of the chain resolves it per call."""
-    from repro.target.interface import (AccessTracingBackend,
-                                        GovernedBackend, TracingBackend)
+    from repro.target.interface import GovernedBackend, TracingBackend
 
     builder.int_array(program, "x", X)
     builder.linked_list(program, "head", [11, 42, 5])
     session = DuelSession(SimulatorBackend(program))
     looked_up = []
-    for hop in (TracingBackend, AccessTracingBackend, GovernedBackend):
+    for hop in (TracingBackend, GovernedBackend):
         def spy(self, name, _original=hop.__getattr__):
             looked_up.append(name)
             return _original(self, name)
