@@ -44,6 +44,10 @@ def escape_char(code: int, quote: str = "'") -> str:
     return f"\\{code:03o}"
 
 
+#: Each byte's spelling inside a double-quoted string.
+_STRING_CHARS = tuple(escape_char(code, quote='"') for code in range(256))
+
+
 class ValueFormatter:
     """Formats DuelValues for display."""
 
@@ -98,16 +102,27 @@ class ValueFormatter:
         return f"{address:#x}"
 
     def _chase_string(self, address: int) -> Optional[str]:
-        out = []
-        for offset in range(MAX_STRING):
-            try:
-                byte = self.ops.backend.get_target_bytes(address + offset, 1)
-            except Exception:
-                return None
-            if byte == b"\0":
-                return '"' + "".join(out) + '"'
-            out.append(escape_char(byte[0], quote='"'))
-        return '"' + "".join(out) + '"...'
+        """The C string at ``address``, quoted, ``"..."...`` past
+        :data:`MAX_STRING` characters; None when a byte before its NUL
+        is unmapped (the caller prints the pointer)."""
+        get = self.ops.backend.get_target_bytes
+        try:
+            data = get(address, MAX_STRING)
+        except Exception:
+            # The block runs past mapped memory: read up to the NUL
+            # byte by byte, which faults only where a character does.
+            data = bytearray()
+            for offset in range(MAX_STRING):
+                try:
+                    data += get(address + offset, 1)
+                except Exception:
+                    return None
+                if data[-1] == 0:
+                    break
+        end = data.find(0)
+        chars = "".join([_STRING_CHARS[code]
+                         for code in data[:end if end >= 0 else MAX_STRING]])
+        return '"' + chars + ('"' if end >= 0 else '"...')
 
     # -- aggregates -----------------------------------------------------------
     def _format_record(self, v: DuelValue, record: RecordType) -> str:

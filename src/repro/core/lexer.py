@@ -60,6 +60,16 @@ _OCTAL_DIGITS = "01234567"
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
+#: What stands for a literal of each kind in a statement shape: the
+#: plainest literal of that kind, which no name or operator spells.
+#: One per kind, since the grammar tells the kinds apart (``@`` takes a
+#: number or a char, never a string).
+_PLACEHOLDERS = {"num": "0", "fnum": "0.0", "char": "'0'", "string": '""'}
+
+#: The token kinds that spell a literal.
+LITERAL_KINDS = frozenset(_PLACEHOLDERS)
+
+
 class Token:
     """One lexical token with its source span (for decl/cast slicing)."""
 
@@ -116,6 +126,14 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(token)
     tokens.append(Token("eof", "", n, n))
     return tokens
+
+
+def shape(tokens: list[Token]) -> tuple:
+    """The statement shape of a token list: every token's text, with
+    each literal's replaced by its kind's placeholder, so ``x[3]`` and
+    ``x[ 4 ]`` share a shape and ``x[3]`` and ``x["3"]`` do not."""
+    return tuple([_PLACEHOLDERS.get(token.kind, token.text)
+                  for token in tokens])
 
 
 def _lex_number(text: str, pos: int) -> tuple[int, Token]:
@@ -261,6 +279,13 @@ class TokenStream:
     ``depth`` counts the parser's open nested productions; the parser
     calls :meth:`enter` on the way into one, so a pathologically nested
     input is a syntax error rather than a Python ``RecursionError``.
+
+    The parse reports what a prepared statement shape needs
+    (:meth:`DuelSession.prepare <repro.core.session.DuelSession.prepare>`):
+    ``literals``, each literal node with its token's index, in token
+    order, and ``slices``, the first and last token index of each
+    stretch of raw source copied into the AST (declarations, cast and
+    ``sizeof`` type names).
     """
 
     def __init__(self, text: str):
@@ -271,6 +296,12 @@ class TokenStream:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.literals: list = []
+        self.slices: list[tuple[int, int]] = []
+
+    def source(self, first: int, last: int) -> str:
+        """The raw text from token ``first`` through token ``last``."""
+        return self.text[self.tokens[first].start:self.tokens[last].end]
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[self.i + ahead]

@@ -43,7 +43,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.errors import DuelSyntaxError
-from repro.core.lexer import KEYWORDS, Token, TokenStream, TYPE_KEYWORDS, unescape
+from repro.core.lexer import (KEYWORDS, LITERAL_KINDS, Token, TokenStream,
+                              TYPE_KEYWORDS, unescape)
 from repro.core import nodes as N
 
 #: Tokens that can never begin an expression (used for ``e..`` postfix).
@@ -95,8 +96,13 @@ class DuelParser:
         self.is_type_name = is_type_name or (lambda name: False)
 
     # -- public API -------------------------------------------------------
-    def parse(self, text: str) -> N.Node:
-        stream = TokenStream(text)
+    def parse(self, text: str,
+              stream: Optional[TokenStream] = None) -> N.Node:
+        """The AST of ``text``, parsed from ``stream`` (its tokens,
+        already lexed) when given; the stream then holds the parse's
+        report of its literals and source slices."""
+        if stream is None:
+            stream = TokenStream(text)
         node = self._sequence(stream)
         if not stream.at_end:
             raise stream.error(
@@ -130,20 +136,18 @@ class DuelParser:
         return False
 
     def _declaration(self, s: TokenStream) -> N.Node:
-        start = s.peek().start
+        first = s.i
         depth = 0
-        end = start
         while not s.at_end:
             token = s.peek()
             if token.text == ";" and depth == 0:
                 break
             depth += _NESTING.get(token.text, 0)
-            end = token.end
             s.next()
-        text = s.text[start:end]
-        if not text.strip():
+        if s.i == first:
             raise s.error("empty declaration")
-        return N.Declaration(text + ";")
+        s.slices.append((first, s.i - 1))
+        return N.Declaration(s.source(first, s.i - 1) + ";")
 
     # -- alternate / imply -----------------------------------------------------
     def _alternate(self, s: TokenStream) -> N.Node:
@@ -276,9 +280,8 @@ class DuelParser:
     def _type_text(self, s: TokenStream) -> str:
         """Consume ``( type-name )``; return the type name's source."""
         s.expect("(")
-        start = s.peek().start
+        first = s.i
         depth = 1
-        end = start
         while not s.at_end:
             token = s.peek()
             if token.text == "(":
@@ -287,10 +290,10 @@ class DuelParser:
                 depth -= 1
                 if depth == 0:
                     break
-            end = token.end
             s.next()
         s.expect(")")
-        return s.text[start:end]
+        s.slices.append((first, s.i - 2))
+        return s.source(first, s.i - 2)
 
     def _sizeof(self, s: TokenStream) -> N.Node:
         s.next()  # 'sizeof'
@@ -438,16 +441,9 @@ class DuelParser:
     def _primary(self, s: TokenStream) -> N.Node:
         token = s.peek()
         kind = token.kind
-        if kind == "num":
-            node = _int_constant(s, token)
-        elif kind == "fnum":
-            node = N.Constant(float(token.text), "double", token.text)
-        elif kind == "char":
-            body = unescape(token.text[1:-1])
-            node = N.Constant(ord(body) & 0xFF, "char", token.text)
-        elif kind == "string":
-            node = N.StringLiteral(
-                unescape(token.text[1:-1]).encode("latin-1"), token.text)
+        if kind in LITERAL_KINDS:
+            node = literal(token, s.text)
+            s.literals.append((s.i, node))
         elif kind == "name":
             if token.text == "_":
                 node = N.Underscore()
@@ -470,13 +466,31 @@ class DuelParser:
         return node
 
 
-def _int_constant(s: TokenStream, token: Token) -> N.Constant:
-    """A C integer constant: ``0x`` hex, leading-``0`` octal, decimal.
+def literal(token: Token, text: str) -> N.Node:
+    """The node of one literal token of ``text``, for the parser and for
+    a prepared statement shape alike.
 
+    An integer constant is ``0x`` hex, leading-``0`` octal or decimal.
     A nonzero octal constant displays as its decimal value (``x[010]``
-    prints as ``x[8]``), so symbolic output never reads ``010`` as ten."""
-    text = token.text
-    body = text.rstrip("uUlL")
+    prints as ``x[8]``), so symbolic output never reads ``010`` as ten.
+    A malformed one, or a string holding a character past Latin-1, is a
+    :class:`DuelSyntaxError` at the token.
+    """
+    kind = token.kind
+    spelling = token.text
+    if kind == "fnum":
+        return N.Constant(float(spelling), "double", spelling)
+    if kind == "char":
+        body = unescape(spelling[1:-1])
+        return N.Constant(ord(body) & 0xFF, "char", spelling)
+    if kind == "string":
+        try:
+            value = unescape(spelling[1:-1]).encode("latin-1")
+        except UnicodeEncodeError:
+            raise DuelSyntaxError("character outside Latin-1 in string "
+                                  "literal", token.start, text) from None
+        return N.StringLiteral(value, spelling)
+    body = spelling.rstrip("uUlL")
     if body[:2] in ("0x", "0X"):
         base, name = 16, "hexadecimal"
     elif body[0] == "0":
@@ -486,10 +500,11 @@ def _int_constant(s: TokenStream, token: Token) -> N.Constant:
     try:
         value = int(body, base)
     except ValueError:
-        raise s.error(f"invalid {name} constant {text!r}") from None
-    suffix = text[len(body):]
+        raise DuelSyntaxError(f"invalid {name} constant {spelling!r}",
+                              token.start, text) from None
+    suffix = spelling[len(body):]
     if base == 8 and value:
-        text = f"{value}{suffix}"
+        spelling = f"{value}{suffix}"
     suffix = suffix.lower()
     unsigned = "u" in suffix
     long_ = "l" in suffix
@@ -503,7 +518,7 @@ def _int_constant(s: TokenStream, token: Token) -> N.Constant:
         hint = "long"
     else:
         hint = "int"
-    return N.Constant(value, hint, text)
+    return N.Constant(value, hint, spelling)
 
 
 def parse(text: str,

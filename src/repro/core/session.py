@@ -23,16 +23,19 @@ original.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from time import perf_counter_ns
 from typing import Iterator, Optional
 
 from repro.core import nodes as N
-from repro.core.errors import DuelCancelled, DuelError, DuelTruncation
+from repro.core.errors import (DuelCancelled, DuelError, DuelSyntaxError,
+                               DuelTruncation)
 from repro.core.eval import _KEEP_DEFAULT, EvalOptions, Evaluator
 from repro.core.format import ValueFormatter
-from repro.core.parser import DuelParser
+from repro.core.lexer import TokenStream, shape
+from repro.core.parser import DuelParser, literal
 from repro.core.symbolic import DEFAULT_FOLD
 from repro.core.values import DuelValue
 from repro.obs.access import DEFAULT_PAGE_SIZE, AccessLog, advise
@@ -42,14 +45,18 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import QueryTracer, RingBufferSink, Sampler, TraceSink
 
 
-#: Prepared queries a session keeps (least recently used evicted).  At
-#: 256, replaying the seed-1 benchmark streams, 73% of ``interactive``
-#: and 58% of ``served`` queries find their text already prepared.
+#: Prepared query texts, and compiled statement shapes, a session keeps
+#: (least recently used evicted).  At 256, replaying the seed-1
+#: benchmark streams, 73% of ``interactive`` and 58% of ``served``
+#: queries find their text already prepared, and 99.96% and 99.6%
+#: their shape.
 PREPARED_MAX = 256
+#: Query texts :attr:`DuelSession.history` keeps (oldest dropped).
+HISTORY_MAX = 1000
 
 
 class Prepared:
-    """One query text, compiled once by :meth:`DuelSession.prepare`.
+    """One query text, prepared by :meth:`DuelSession.prepare`.
 
     Holds what every later query of the same text reuses: the AST
     (shared, so nothing may change it),
@@ -58,23 +65,79 @@ class Prepared:
     it mentions program state (``mentions_state``: constants-only
     queries print their values on one line), and the statement
     fingerprint, computed on first use and shared by every
-    :class:`QueryRecord` of the text.
+    :class:`QueryRecord` of the text.  An entry instantiated from its
+    statement shape's ``template`` shares all three with it (the
+    fingerprint once either is asked for it), since literals change
+    none of them.
     """
 
-    __slots__ = ("node", "side_effects", "mentions_state", "_fingerprint")
+    __slots__ = ("node", "side_effects", "mentions_state", "_fingerprint",
+                 "_template")
 
-    def __init__(self, node: N.Node):
+    def __init__(self, node: N.Node, template: Optional[Prepared] = None):
         self.node = node
-        self.side_effects = _has_side_effects(node)
-        self.mentions_state = _mentions_state(node)
         self._fingerprint = None
+        self._template = template
+        if template is None:
+            self.side_effects = _has_side_effects(node)
+            self.mentions_state = _mentions_state(node)
+        else:
+            self.side_effects = template.side_effects
+            self.mentions_state = template.mentions_state
 
     @property
     def fingerprint(self):
         if self._fingerprint is None:
-            from repro.obs.fingerprint import fingerprint
-            self._fingerprint = fingerprint(self.node)
+            if self._template is not None:
+                self._fingerprint = self._template.fingerprint
+            else:
+                from repro.obs.fingerprint import fingerprint
+                self._fingerprint = fingerprint(self.node)
         return self._fingerprint
+
+
+class _Shape:
+    """A compiled statement shape, which later texts of the same shape
+    are instantiated from instead of compiled (see
+    :meth:`DuelSession.prepare`).
+
+    ``literals`` holds each literal node of the template's AST, in
+    token order, with its token's index and text; ``slices`` each
+    stretch of raw source the AST copied (a declaration, a cast's or
+    ``sizeof``'s type name), with its first and last token index.
+    """
+
+    __slots__ = ("prepared", "literals", "slices")
+
+    def __init__(self, prepared: Prepared, stream: TokenStream):
+        self.prepared = prepared
+        self.literals = tuple((index, stream.tokens[index].text, node)
+                              for index, node in stream.literals)
+        self.slices = tuple((first, last, stream.source(first, last))
+                            for first, last in stream.slices)
+
+    def instantiate(self, stream: TokenStream) -> Optional[Prepared]:
+        """The entry of ``stream``'s text, a text of this shape: the
+        template's AST with each literal whose text differs rebuilt,
+        and only its ancestors copied.  None when a source slice reads
+        differently (``(char  *)p``) or a literal is malformed
+        (``x[09]``): then the text must compile, and a malformed one
+        raises the parser's own error."""
+        for first, last, source in self.slices:
+            if stream.source(first, last) != source:
+                return None
+        replaced: dict[int, N.Node] = {}
+        for index, spelling, node in self.literals:
+            token = stream.tokens[index]
+            if token.text != spelling:
+                try:
+                    replaced[id(node)] = literal(token, stream.text)
+                except DuelSyntaxError:
+                    return None
+        if not replaced:
+            return self.prepared
+        return Prepared(_substituted(self.prepared.node, replaced),
+                        self.prepared)
 
 
 class QueryRecord:
@@ -182,15 +245,20 @@ class DuelSession:
                                         float_format=float_format)
         self.evaluator.formatter = self.formatter
         self.fold = fold
-        #: Executed query texts, newest last (the paper's Discussion
-        #: suggests a query history for re-issuing common queries).
+        #: Executed query texts, newest last, the last
+        #: :data:`HISTORY_MAX` of them (the paper's Discussion suggests
+        #: a query history for re-issuing common queries).
         self.history: list[str] = []
         #: Named saved queries ("program-specific queries ... made by
         #: simply pointing and clicking" — here, by name).
         self.saved: dict[str, str] = {}
-        #: Prepared queries by (text, typedef generation), least
-        #: recently used first (see :meth:`prepare`).
-        self._prepared: OrderedDict[tuple[str, int], Prepared] = \
+        #: Prepared queries, with their shape's key, by (text, typedef
+        #: generation), and compiled statement shapes by (shape,
+        #: typedef generation), least recently used first (see
+        #: :meth:`prepare`).
+        self._prepared: OrderedDict[tuple[str, int],
+                                    tuple[Prepared, tuple]] = OrderedDict()
+        self._shapes: OrderedDict[tuple[tuple, int], _Shape] = \
             OrderedDict()
         self._prepared_lock = threading.Lock()
         # Whose typedef names decide how a text parses: the session's
@@ -234,39 +302,68 @@ class DuelSession:
         self._format_ns = 0
 
     # -- compiling ------------------------------------------------------
-    def compile(self, text: str) -> N.Node:
+    def compile(self, text: str,
+                stream: Optional[TokenStream] = None) -> N.Node:
         """Parse one DUEL input line into an AST.
 
         The one function that parses query text; queries reach it
-        through :meth:`prepare`, which calls it once per text."""
-        return self.parser.parse(text)
+        through :meth:`prepare`, which calls it once per statement
+        shape and passes the text's tokens, already lexed, as
+        ``stream``: the parse reports its literals there, and a wrapper
+        that does not pass it on leaves the text's shape uncompiled."""
+        return self.parser.parse(text, stream)
 
     def prepare(self, text: str) -> Prepared:
-        """The :class:`Prepared` entry for ``text``, compiled at most
-        once while it stays among the :data:`PREPARED_MAX` most
-        recently used texts.
+        """The :class:`Prepared` entry for ``text``.
 
-        Entries are keyed on the text and on the typedef generations of
-        the session's and the target's type environments: whether
-        ``(T)x`` is a cast depends on the typedef names known when it
-        was parsed.  A text that fails to parse raises and is not kept.
+        Two tables each keep the :data:`PREPARED_MAX` most recently
+        used entries: prepared texts, probed first, and compiled
+        statement shapes.  A text not prepared yet is lexed and looked
+        up by its shape, its tokens with each literal standing as a
+        placeholder of its kind (:func:`~repro.core.lexer.shape`), so
+        ``x[3]`` and ``x[4]`` share one.  A known shape instantiates
+        its template, the AST with the changed literals rebuilt; only
+        a new shape calls :meth:`compile`.  Using a text also uses its
+        shape.
+
+        Both tables are also keyed on the typedef generations of the
+        session's and the target's type environments: whether ``(T)x``
+        is a cast depends on the typedef names known when it was
+        parsed.  A text that fails to parse raises and is not kept.
         Safe to call from two threads at once (a served session
-        classifies queries outside its client lock): the table is
-        locked, the parse is not.
+        classifies queries outside its client lock): the tables are
+        locked, lexing and parsing are not.
         """
-        key = (text, sum(env.typedef_generation
-                         for env in self._type_envs))
-        table = self._prepared
+        generations = sum(env.typedef_generation for env in self._type_envs)
+        key = (text, generations)
+        texts, shapes = self._prepared, self._shapes
         with self._prepared_lock:
-            entry = table.get(key)
-            if entry is not None:
-                table.move_to_end(key)
+            found = texts.get(key)
+            if found is not None:
+                texts.move_to_end(key)
+                entry, shape_key = found
+                if shape_key in shapes:
+                    shapes.move_to_end(shape_key)
                 return entry
-        entry = Prepared(self.compile(text))
+        stream = TokenStream(text)
+        shape_key = (shape(stream.tokens), generations)
         with self._prepared_lock:
-            table[key] = entry
-            if len(table) > PREPARED_MAX:
-                table.popitem(last=False)
+            template = shapes.get(shape_key)
+            if template is not None:
+                shapes.move_to_end(shape_key)
+        entry = template.instantiate(stream) if template is not None \
+            else None
+        if entry is None:
+            entry = Prepared(self.compile(text, stream))
+            # A compile wrapper that drops ``stream`` parses a stream of
+            # its own, and leaves this one with no literals to re-spell.
+            template = _Shape(entry, stream) if stream.i else None
+        else:
+            template = None
+        with self._prepared_lock:
+            _remember(texts, key, (entry, shape_key))
+            if template is not None:
+                _remember(shapes, shape_key, template)
         return entry
 
     # -- evaluation -------------------------------------------------------
@@ -274,21 +371,28 @@ class DuelSession:
         """Drive ``text`` and collect every produced value."""
         return list(self.ieval(text))
 
-    def ieval(self, text: str) -> Iterator[DuelValue]:
-        """Drive ``text`` lazily."""
+    def ieval(self, text: str, record: bool = True) -> Iterator[DuelValue]:
+        """Drive ``text`` lazily (``record=False`` keeps it out of
+        :attr:`history`)."""
         node = self.prepare(text).node
-        self._record(text)
+        if record:
+            self._record(text)
         self.evaluator.reset()
         yield from self.evaluator.eval(node)
 
     def _record(self, text: str) -> None:
-        if not self.history or self.history[-1] != text:
-            self.history.append(text)
+        history = self.history
+        if not history or history[-1] != text:
+            history.append(text)
+            if len(history) > HISTORY_MAX:
+                del history[0]
 
-    def eval_values(self, text: str):
-        """Raw Python values (ints/floats/addresses) of ``text``."""
+    def eval_values(self, text: str, record: bool = True):
+        """Raw Python values (ints/floats/addresses) of ``text``
+        (``record=False``: a debugger check, kept out of
+        :attr:`history`)."""
         ops = self.evaluator.ops
-        return [ops.load(v) for v in self.ieval(text)]
+        return [ops.load(v) for v in self.ieval(text, record)]
 
     # -- printing ------------------------------------------------------------
     def format_line(self, v: DuelValue) -> str:
@@ -788,6 +892,41 @@ class DuelSession:
     def lookup_count(self) -> int:
         """Total symbol lookups performed (benchmark P2)."""
         return self.evaluator.scope.lookup_count
+
+
+def _remember(table: OrderedDict, key, entry) -> None:
+    """Insert into a prepared table, evicting past :data:`PREPARED_MAX`
+    (the caller holds the table lock)."""
+    table[key] = entry
+    if len(table) > PREPARED_MAX:
+        table.popitem(last=False)
+
+
+def _substituted(node: N.Node, replaced: dict) -> N.Node:
+    """``node`` with each node whose id ``replaced`` holds swapped for
+    its replacement: a node is copied only when one of its kids comes
+    back changed, and every other subtree is shared."""
+    found = replaced.get(id(node))
+    if found is not None:
+        return found
+    fields = vars(node)
+    changed = {}
+    for name, value in fields.items():
+        if isinstance(value, N.Node):
+            new = _substituted(value, replaced)
+        elif type(value) is tuple:              # a call's arguments
+            new = tuple([_substituted(arg, replaced) for arg in value])
+            if all(map(operator.is_, new, value)):
+                new = value
+        else:
+            continue
+        if new is not value:
+            changed[name] = new
+    if not changed:
+        return node
+    copy = object.__new__(type(node))
+    copy.__dict__ = {**fields, **changed}
+    return copy
 
 
 def _has_side_effects(node: N.Node) -> bool:

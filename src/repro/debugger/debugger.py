@@ -274,7 +274,7 @@ class Debugger:
         """
         self.condition_evals += 1
         try:
-            return tuple(self.session.eval_values(expression))
+            return tuple(self.session.eval_values(expression, record=False))
         except DuelError:
             return ()
 

@@ -34,15 +34,17 @@ class Counter:
     CPython, so concurrent sessions recording into one registry (the
     ``repro.serve`` front end multiplexes every client into the
     process registry) would drop increments without the lock.  The
-    lock is per-instrument and only taken per *query*, never per
-    value, so the hot path is untouched.
+    lock is only taken per *query*, never per value, so the hot path
+    is untouched.  ``lock`` is the one its value changes under: its
+    own by default, its registry's when a registry made it (see
+    :meth:`MetricsRegistry.record_query`).
     """
 
     __slots__ = ("value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, lock: Optional[threading.Lock] = None) -> None:
         self.value = 0
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
@@ -54,9 +56,9 @@ class Gauge:
 
     __slots__ = ("value", "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, lock: Optional[threading.Lock] = None) -> None:
         self.value = 0.0
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -73,15 +75,16 @@ class Histogram:
 
     Thread-safe: :meth:`observe` mutates seven fields that must stay
     mutually consistent (``sum``/``count``/bucket counts), and
-    :meth:`as_dict` snapshots under the same lock so an exposition
-    scrape racing an observation never renders ``count`` and ``sum``
-    from different instants.
+    :meth:`as_dict` snapshots under the same lock (``lock``, as for
+    :class:`Counter`) so an exposition scrape racing an observation
+    never renders ``count`` and ``sum`` from different instants.
     """
 
     __slots__ = ("bounds", "counts", "overflow", "total", "count",
                  "minimum", "maximum", "_lock")
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_MS_BUCKETS):
+    def __init__(self, buckets: Sequence[float] = DEFAULT_MS_BUCKETS,
+                 lock: Optional[threading.Lock] = None):
         self.bounds = tuple(float(b) for b in buckets)
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("histogram buckets must be sorted")
@@ -91,21 +94,25 @@ class Histogram:
         self.count = 0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
 
     def observe(self, value: float) -> None:
         with self._lock:
-            index = bisect_left(self.bounds, value)
-            if index == len(self.bounds):
-                self.overflow += 1
-            else:
-                self.counts[index] += 1
-            self.total += value
-            self.count += 1
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
+            self._add(value)
+
+    def _add(self, value: float) -> None:
+        """:meth:`observe`, the caller holding the lock."""
+        index = bisect_left(self.bounds, value)
+        if index == len(self.bounds):
+            self.overflow += 1
+        else:
+            self.counts[index] += 1
+        self.total += value
+        self.count += 1
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
 
     @property
     def mean(self) -> float:
@@ -154,16 +161,25 @@ class Histogram:
         }
 
 
+#: What :meth:`MetricsRegistry.record_query` adds up: the stats keys
+#: of ``governor_<key>_total``, the traffic keys of
+#: ``target_<key>_total`` and the phases of ``phase_<name>_ms``.
+_GOVERNOR_KEYS = ("steps", "expand", "lines", "calls", "allocs", "symnodes")
+_TRAFFIC_KEYS = ("reads", "writes", "calls", "allocs")
+_PHASES = ("parse", "eval", "format")
+
+
 class MetricsRegistry:
     """Named counters, gauges and histograms, created on first use.
 
     Thread-safe: instrument creation is lock-guarded (two sessions
     racing ``counter("queries_total")`` get the *same* counter, never
-    two), each instrument guards its own mutation, and the iteration
-    views copy the maps under the lock — so an exposition scrape or a
-    ``metrics`` command racing live queries always sees a coherent
-    registry.  The ``repro.serve`` front end funnels every client
-    session into one shared registry, which is what forced the issue.
+    two), every instrument it creates changes its value under one
+    shared lock, and the iteration views copy the maps under the
+    creation lock — so an exposition scrape or a ``metrics`` command
+    racing live queries always sees a coherent registry.  The
+    ``repro.serve`` front end funnels every client session into one
+    shared registry, which is why it needs the locks.
     """
 
     def __init__(self) -> None:
@@ -171,20 +187,25 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
+        #: The lock every instrument of this registry changes under.
+        self._values = threading.Lock()
+        # The instruments :meth:`record_query` adds to, resolved on
+        # its first query (and again after :meth:`reset`).
+        self._fold: Optional[tuple] = None
 
     # -- accessors ---------------------------------------------------------
     def counter(self, name: str) -> Counter:
         with self._lock:
             found = self._counters.get(name)
             if found is None:
-                found = self._counters[name] = Counter()
+                found = self._counters[name] = Counter(self._values)
             return found
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
             found = self._gauges.get(name)
             if found is None:
-                found = self._gauges[name] = Gauge()
+                found = self._gauges[name] = Gauge(self._values)
             return found
 
     def histogram(self, name: str,
@@ -193,7 +214,8 @@ class MetricsRegistry:
         with self._lock:
             found = self._histograms.get(name)
             if found is None:
-                found = self._histograms[name] = Histogram(buckets)
+                found = self._histograms[name] = Histogram(buckets,
+                                                           self._values)
             return found
 
     # -- iteration (exposition renderers) ----------------------------------
@@ -220,21 +242,40 @@ class MetricsRegistry:
         ``stats`` is :meth:`ResourceGovernor.stats` output; ``traffic``
         carries per-query reads/writes/calls/allocs deltas from the
         :class:`~repro.target.interface.TracingBackend`; ``phases``
-        maps phase name (parse/eval/format) to milliseconds.
+        maps phase name (parse/eval/format) to milliseconds; other keys
+        are not counted.  The instruments are all created on the first
+        call and resolved once per registry (again after
+        :meth:`reset`), and a query changes them under one acquisition
+        of their shared lock.
         """
-        self.counter("queries_total").inc()
-        for name in ("steps", "expand", "lines", "calls", "allocs",
-                     "symnodes"):
-            if name in stats:
-                self.counter(f"governor_{name}_total").inc(stats[name])
-        if "wall_ms" in stats:
-            self.histogram("query_wall_ms").observe(stats["wall_ms"])
-        if traffic:
-            for name, amount in traffic.items():
-                self.counter(f"target_{name}_total").inc(amount)
-        if phases:
-            for name, ms in phases.items():
-                self.histogram(f"phase_{name}_ms").observe(ms)
+        fold = self._fold
+        if fold is None:
+            counter, histogram = self.counter, self.histogram
+            fold = self._fold = (
+                counter("queries_total"),
+                tuple((key, counter(f"governor_{key}_total"))
+                      for key in _GOVERNOR_KEYS),
+                histogram("query_wall_ms"),
+                tuple((key, counter(f"target_{key}_total"))
+                      for key in _TRAFFIC_KEYS),
+                tuple((name, histogram(f"phase_{name}_ms"))
+                      for name in _PHASES))
+        queries, governor, wall, target, phase = fold
+        with self._values:
+            queries.value += 1
+            for key, counter in governor:
+                if key in stats:
+                    counter.value += stats[key]
+            if "wall_ms" in stats:
+                wall._add(stats["wall_ms"])
+            if traffic:
+                for key, counter in target:
+                    if key in traffic:
+                        counter.value += traffic[key]
+            if phases:
+                for name, histogram in phase:
+                    if name in phases:
+                        histogram._add(phases[name])
 
     def observe(self, record) -> None:
         """Fold a finished query into the totals (a session sink;
@@ -243,9 +284,8 @@ class MetricsRegistry:
         if record.outcome == "rejected":
             return
         stats = record.stats
-        self.record_query(stats, {name: stats[name] for name in
-                                  ("reads", "writes", "calls", "allocs")},
-                          phases=record.phases)
+        # The stats carry the query's target traffic too.
+        self.record_query(stats, stats, phases=record.phases)
         hits, misses = record.string_cache
         self.counter("string_cache_hits").inc(hits)
         self.counter("string_cache_misses").inc(misses)
@@ -305,6 +345,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._fold = None
 
 
 #: The shared process-level registry (sessions default to this).

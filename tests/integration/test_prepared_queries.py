@@ -27,9 +27,9 @@ def served():
         session = DuelSession(SimulatorBackend(program))
         original = session.compile
 
-        def compile(text):
+        def compile(text, *stream):
             compiled.append(text)
-            return original(text)
+            return original(text, *stream)
 
         session.compile = compile
         return session
@@ -94,9 +94,9 @@ class TestDebugger:
         compiled = []
         original = dbg.session.compile
 
-        def compile(text):
+        def compile(text, *stream):
             compiled.append(text)
-            return original(text)
+            return original(text, *stream)
 
         dbg.session.compile = compile
         watch = dbg.watch("total")

@@ -145,6 +145,15 @@ class TestSessionHistoryApi:
         session.eval("2+2")
         assert session.history == ["1+1", "2+2"]
 
+    def test_history_keeps_the_newest_texts(self):
+        from repro import DuelSession, SimulatorBackend, TargetProgram
+        from repro.core.session import HISTORY_MAX
+        session = DuelSession(SimulatorBackend(TargetProgram()))
+        texts = [f"{i}+1" for i in range(HISTORY_MAX + 5)]
+        for text in texts:
+            session.eval(text)
+        assert session.history == texts[5:]
+
     def test_run_saved(self):
         from repro import DuelSession, SimulatorBackend, TargetProgram
         session = DuelSession(SimulatorBackend(TargetProgram()))

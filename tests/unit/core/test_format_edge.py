@@ -114,6 +114,42 @@ class TestStrings:
         assert text.endswith('"...')
         assert len(text) == MAX_STRING + 2 + 3  # quotes + ellipsis
 
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_string_ending_at_its_region_end(self, program, formatter,
+                                             slack):
+        """The NUL ``slack`` bytes before the end of a 16-byte region:
+        the block read runs off the region, and the string still
+        prints whole."""
+        base = 0x40000000
+        program.memory.map_new("tail", base, 16)
+        word = b"duel" * 4
+        word = word[:15 - slack]
+        program.memory.write(base, word + b"\0")
+        p = rvalue(PointerType(CHAR), base, SymText("s"))
+        assert formatter.format(p) == '"' + word.decode() + '"'
+
+    def test_string_running_off_its_region_prints_the_pointer(
+            self, program, formatter):
+        base = 0x40000000
+        program.memory.map_new("tail", base, 16)
+        program.memory.write(base, b"x" * 16)
+        p = rvalue(PointerType(CHAR), base, SymText("s"))
+        assert formatter.format(p) == f"{base:#x}"
+
+    def test_a_string_is_one_read(self, program):
+        reads = []
+
+        class Counting(SimulatorBackend):
+            def get_target_bytes(self, address, size):
+                reads.append(size)
+                return super().get_target_bytes(address, size)
+
+        formatter = ValueFormatter(ValueOps(Counting(program)))
+        addr = program.intern_string("file.c")
+        p = rvalue(PointerType(CHAR), addr, SymText("s"))
+        assert formatter.format(p) == '"file.c"'
+        assert reads == [MAX_STRING]
+
     def test_chase_disabled_prints_hex(self, program):
         plain = ValueFormatter(ValueOps(SimulatorBackend(program)),
                                chase_strings=False)

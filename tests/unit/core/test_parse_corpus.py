@@ -145,6 +145,12 @@ class TestEscapes:
     def test_escapes_follow_c(self, text, value):
         assert parse(text).value == value
 
+    def test_a_string_past_latin_1_is_a_syntax_error(self):
+        with pytest.raises(DuelSyntaxError,
+                           match="outside Latin-1") as raised:
+            parse('x + "ab\u20ac"')
+        assert raised.value.position == 4
+
     @pytest.mark.parametrize("text", [r"'\x'", r'"a\x"', r'"\xg"'])
     def test_hex_escape_needs_a_digit(self, text):
         with pytest.raises(DuelSyntaxError) as raised:

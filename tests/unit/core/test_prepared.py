@@ -1,9 +1,10 @@
-"""Prepared queries: each query text is compiled once per session.
+"""Prepared queries: each statement shape is compiled once per session.
 
 ``DuelSession.prepare`` keeps the AST, the side-effect and
 mentions-state facts and the fingerprint of the most recently used
-texts; every query path (``ievents``, ``ieval``, saved queries) goes
-through it, and ``DuelSession.compile`` runs only on a miss.
+texts, and the compiled template of the most recently used statement
+shapes; every query path (``ievents``, ``ieval``, saved queries) goes
+through it, and ``DuelSession.compile`` runs only on a new shape.
 """
 
 import sys
@@ -11,9 +12,10 @@ import threading
 
 import pytest
 
+from repro import DuelSession, SimulatorBackend
 from repro.core.errors import DuelSyntaxError
 from repro.core.session import PREPARED_MAX
-from repro.target import snapshot
+from repro.target import builder, snapshot
 
 
 def count_compiles(session) -> list:
@@ -21,9 +23,9 @@ def count_compiles(session) -> list:
     compiled = []
     original = session.compile
 
-    def compile(text):
+    def compile(text, *stream):
         compiled.append(text)
-        return original(text)
+        return original(text, *stream)
 
     session.compile = compile
     return compiled
@@ -80,6 +82,103 @@ class TestCompileOnce:
             assert run(session, "x[0]")[0] == ["x[0] = 3"]
 
 
+class TestShapes:
+    def test_literals_of_one_shape_compile_once(self, program):
+        builder.int_array(program, "x", list(range(100, 120)))
+        session = DuelSession(SimulatorBackend(program))
+        compiled = count_compiles(session)
+        lines = [session.eval_lines(text)
+                 for text in ("x[3]", "x[4]", "x[0x10]", "x[010]")]
+        assert lines == [["x[3] = 103"], ["x[4] = 104"],
+                         ["x[0x10] = 116"], ["x[8] = 108"]]
+        assert compiled == ["x[3]"]
+
+    def test_instances_share_the_templates_facts(self, session):
+        first = session.prepare("x[..4] >? 2")
+        second = session.prepare("x[..4] >? 3")
+        assert second is not first and second.node != first.node
+        assert second.fingerprint is first.fingerprint
+        assert (second.side_effects, second.mentions_state) == \
+            (first.side_effects, first.mentions_state)
+        # Only the changed literal's ancestors are copied.
+        assert second.node.left is first.node.left
+
+    def test_a_long_chain_instantiates_as_it_compiles(self, empty_session):
+        # Deep enough that a walk with more than a frame or two a level
+        # (a fingerprint, say) overflows the stack, as preparing this
+        # text on its own does not.
+        terms = ["1"] * 600
+        empty_session.prepare(" + ".join(terms))
+        terms[0] = terms[-1] = "2"
+        node = empty_session.prepare(" + ".join(terms)).node
+        assert node.right.value == 2
+        while isinstance(node.left, type(node)):
+            node = node.left
+        assert node.left.value == 2
+
+    def test_a_literal_of_another_kind_is_another_shape(self, session):
+        compiled = count_compiles(session)
+        assert run(session, "x[..4]@3")[1] == "done"
+        _, kind, info = run(session, 'x[..4]@"s"')
+        assert kind == "error"
+        assert info["error"].startswith(
+            "expected constant, name, or (expression) after @")
+        assert compiled == ["x[..4]@3", 'x[..4]@"s"']
+
+    def test_a_malformed_literal_raises_the_parsers_error(self, session):
+        run(session, "x[3]")
+        compiled = count_compiles(session)
+        _, kind, info = run(session, "x[09]")
+        assert kind == "error"
+        assert info["error"].endswith("x[09]\n  ^")
+        assert compiled == ["x[09]"]
+        assert session.eval_lines("x[07]") == ["x[7] = 120"]
+        assert compiled == ["x[09]"]
+
+    def test_a_typedef_bump_compiles_the_next_text_of_a_shape(
+            self, empty_session):
+        session = empty_session
+        compiled = count_compiles(session)
+        assert run(session, "(T)(3)")[1] == "faulted"    # a call of T
+        assert run(session, "typedef int T;")[1] == "done"
+        assert run(session, "(T)(4)")[0] == ["4"]        # now a cast
+        assert run(session, "(T)(5)")[0] == ["5"]
+        assert compiled == ["(T)(3)", "typedef int T;", "(T)(4)"]
+
+    @pytest.mark.parametrize("first,second", [
+        ("(char *)argv[1]", "(char*)argv[1]"),
+        ("(char *)argv[1]", "(char  *) argv[2]"),
+        ("sizeof(int *) + 1", "sizeof(int*) + 2"),
+        ("sizeof(char [3])", "sizeof(char [4])"),
+        ("int a[3]; a[0] = 1", "int  a[3]; a[0] = 2"),
+        ("int a[3]; a[0] = 1", "int a[4]; a[0] = 1"),
+    ])
+    def test_source_slices_read_as_written(self, session, first, second):
+        assert session.prepare(first).node == session.compile(first)
+        assert session.prepare(second).node == session.compile(second)
+
+    def test_a_compile_wrapper_that_drops_the_stream_keeps_no_shape(
+            self, session):
+        original = session.compile
+        compiled = []
+
+        def compile(text, stream=None):
+            compiled.append(text)
+            return original(text)
+
+        session.compile = compile
+        assert session.eval_lines("x[3]") == ["x[3] = 0"]
+        assert session.eval_lines("x[4]") == ["x[4] = 12"]
+        assert compiled == ["x[3]", "x[4]"]
+
+    def test_an_unchanged_slice_is_instantiated(self, session):
+        session.prepare("(char *)argv[1]")
+        compiled = count_compiles(session)
+        assert session.eval_lines("(char *)argv[ 2 ]") == \
+            ['(char *)argv[2] = "file.c"']
+        assert compiled == []
+
+
 class TestInvalidation:
     def test_typedef_turns_a_parenthesised_name_into_a_cast(
             self, empty_session):
@@ -109,7 +208,7 @@ class TestBound:
     def test_inserting_past_the_bound_evicts_the_least_recently_used(
             self, empty_session):
         session = empty_session
-        texts = [f"{i} + 1" for i in range(PREPARED_MAX + 1)]
+        texts = [f"v{i} + 1" for i in range(PREPARED_MAX + 1)]  # one shape each
         for text in texts[:PREPARED_MAX]:
             session.prepare(text)
         session.prepare(texts[0])            # now the most recent

@@ -156,6 +156,19 @@ class TestAssertions:
         assert describe(Assertion("x > 0")) == "assert x > 0"
 
 
+class TestHistory:
+    def test_checks_stay_out_of_the_query_history(self):
+        dbg = Debugger(COUNTER)
+        dbg.watch("total")
+        dbg.assert_always("total >= 0")
+        dbg.break_at("step", condition="total < 100")
+        dbg.run()
+        assert dbg.condition_evals > 10
+        assert dbg.session.history == []
+        assert dbg.duel("total") == ["total = 15"]
+        assert dbg.session.history == ["total"]
+
+
 class TestInstrumentationCost:
     def test_condition_evals_counted(self):
         dbg = Debugger(COUNTER)

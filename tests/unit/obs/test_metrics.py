@@ -112,6 +112,17 @@ class TestRegistry:
         assert m.histogram("query_wall_ms").count == 2
         assert m.histogram("phase_parse_ms").count == 1
 
+    def test_record_query_after_reset_counts_afresh(self):
+        m = MetricsRegistry()
+        m.record_query({"steps": 5, "wall_ms": 1.0}, traffic={"reads": 2})
+        m.reset()
+        m.record_query({"steps": 3, "wall_ms": 2.0}, traffic={"reads": 1})
+        snap = m.snapshot()
+        assert snap["counters"]["queries_total"] == 1
+        assert snap["counters"]["governor_steps_total"] == 3
+        assert snap["counters"]["target_reads_total"] == 1
+        assert snap["histograms"]["query_wall_ms"]["sum"] == 2.0
+
     def test_cache_rate(self):
         m = MetricsRegistry()
         assert m.cache_rate("string_cache") == 0.0
