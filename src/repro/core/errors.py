@@ -73,6 +73,20 @@ class DuelMemoryError(DuelError):
             f"{operand_sym} = {operand_desc}.")
 
 
+class DuelDepthError(DuelError):
+    """A query nests too deeply for the evaluator's Python stack.
+
+    The parser bounds nesting, but not a flat chain such as a
+    thousand-term ``1 + 1 + ... + 1``, whose tree is as deep as it is
+    long.  A bad query, not a sick target: it never feeds the serve
+    layer's circuit breaker.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("expression nests too deeply to evaluate; "
+                         "split it into shorter queries")
+
+
 class DuelTargetError(DuelError):
     """A target-side operation failed outside plain memory access.
 
@@ -143,6 +157,10 @@ class DuelTruncation(DuelEvalLimit):
         super().__init__(limit, kind)
         #: Values produced before the trip; the drive loop fills it in.
         self.produced: Optional[int] = None
+        #: True when the trip stopped a running target call, which
+        #: leaves the target half-mutated: the session then rolls the
+        #: whole query back (a trip between values keeps its effects).
+        self.in_call = False
 
     def diagnostic(self, produced: int) -> str:
         """The one-line paper-style truncation notice."""

@@ -25,7 +25,8 @@ generator :class:`~repro.core.eval.Evaluator` and the paper's explicit
 drive/print loop, and the debugger-interface boundary
 (:class:`~repro.target.interface.GovernedBackend`), so the two engines
 trip identical budgets at identical counts and a ^C lands between
-target operations as well as between generator steps.
+target operations, and inside a running target call, as well as
+between generator steps.
 
 Governed resources (the ``limits`` REPL command uses these names):
 
@@ -119,7 +120,8 @@ class ResourceGovernor:
     produces (both engines), so it is a handful of attribute ops; the
     wall clock and the cancel token are only consulted every
     ``CHECK_EVERY`` steps and at explicit :meth:`checkpoint` calls
-    (per output line, per target call).
+    (per output line, per target call, and every few statements
+    while a target call runs).
     """
 
     #: Steps between deadline/cancellation checks (power of two).

@@ -530,10 +530,13 @@ class FrameExpr(Node):
 
 
 def walk(node: Node):
-    """Yield every node in the tree, preorder."""
-    yield node
-    for kid in node.kids:
-        yield from walk(kid)
+    """Yield every node in the tree, preorder (iteratively: a flat
+    chain such as ``1 + 1 + ... + 1`` is as deep as it is long)."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(reversed(node.kids))
 
 
 def node_count(node: Node) -> int:

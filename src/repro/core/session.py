@@ -30,8 +30,8 @@ from time import perf_counter_ns
 from typing import Iterator, Optional
 
 from repro.core import nodes as N
-from repro.core.errors import (DuelCancelled, DuelError, DuelSyntaxError,
-                               DuelTruncation)
+from repro.core.errors import (DuelCancelled, DuelDepthError, DuelError,
+                               DuelSyntaxError, DuelTruncation)
 from repro.core.eval import _KEEP_DEFAULT, EvalOptions, Evaluator
 from repro.core.format import ValueFormatter
 from repro.core.lexer import TokenStream, shape
@@ -329,7 +329,8 @@ class DuelSession:
         Both tables are also keyed on the typedef generations of the
         session's and the target's type environments: whether ``(T)x``
         is a cast depends on the typedef names known when it was
-        parsed.  A text that fails to parse raises and is not kept.
+        parsed.  A text that fails to parse raises and is not kept; so
+        does one too deep to prepare (a :class:`DuelDepthError`).
         Safe to call from two threads at once (a served session
         classifies queries outside its client lock): the tables are
         locked, lexing and parsing are not.
@@ -351,8 +352,11 @@ class DuelSession:
             template = shapes.get(shape_key)
             if template is not None:
                 shapes.move_to_end(shape_key)
-        entry = template.instantiate(stream) if template is not None \
-            else None
+        try:
+            entry = template.instantiate(stream) if template is not None \
+                else None
+        except RecursionError:        # a flat chain thousands deep
+            raise DuelDepthError() from None
         if entry is None:
             entry = Prepared(self.compile(text, stream))
             # A compile wrapper that drops ``stream`` parses a stream of
@@ -423,7 +427,7 @@ class DuelSession:
     def _lines(self, prepared: Prepared) -> Iterator[str]:
         """Output lines, metered: every printed value charges the
         governor's output quota and hits a cancellation/deadline
-        checkpoint, so even a target-free ``1..`` stays interruptible.
+        checkpoint, so even a target-free ``1..`` can be stopped.
         A truncation mid-stream keeps the partial output (the
         constants-only joined line included) and carries the produced
         count out on the exception for the diagnostic line."""
@@ -481,11 +485,14 @@ class DuelSession:
             ``("truncated", info)`` / ``("cancelled", info)`` — a
             governor limit or the cancel token stopped it; partial
             values stand and ``info["diagnostic"]`` holds the one-line
-            notice;
+            notice; effects stand too, unless the stop landed inside
+            a target call, which rolls the whole query back;
             ``("faulted", info)`` — a mid-drive :class:`DuelError`
-            (side effects rolled back, ``info["error"]`` set; any
-            other exception is rolled back and recorded as a fault
-            too, then re-raised instead of yielded);
+            (side effects rolled back, ``info["error"]`` set; a tree
+            too deep for the Python stack is a
+            :class:`DuelDepthError`; any other exception is rolled
+            back and recorded as a fault too, then re-raised instead
+            of yielded);
             ``("error", info)`` — the text never compiled
             (``info["error"]`` set, nothing was driven).
 
@@ -549,6 +556,10 @@ class DuelSession:
             failure = truncation
             if truncation.produced is not None:
                 produced = truncation.produced
+            if truncation.in_call:
+                # A target call stopped half-way leaves the target in
+                # no consistent state: the whole query rolls back.
+                self._restore(checkpoint)
         except GeneratorExit:
             # The consumer abandoned the stream mid-drive (a serve
             # worker unwound, a client vanished): that is a
@@ -558,11 +569,13 @@ class DuelSession:
         except Exception as error:
             # Any other exception that ends the drive is a fault: the
             # side effects roll back and the record says what ended
-            # it.  One that is not a query error (a defect below the
+            # it.  A tree too deep for the Python stack is a query
+            # error; any other that is not (a defect below the
             # evaluator) still propagates once recorded.
-            failure = error
+            failure = DuelDepthError() if isinstance(error, RecursionError) \
+                else error
             self._restore(checkpoint)
-            if not isinstance(error, DuelError):
+            if not isinstance(failure, DuelError):
                 raise
         finally:
             record = self._publish(self._finish_query(
@@ -605,8 +618,10 @@ class DuelSession:
         A governor limit tripping under the ``truncate`` policy (or a
         ^C on the cancel token) is *not* an error: driving stops, the
         partial results stand — effects already applied are kept, as
-        under the paper's gdb ^C — and one diagnostic line reports
-        what stopped the query and how to raise the limit.
+        under the paper's gdb ^C, unless the stop lands inside a
+        target call, which rolls the query back — and one diagnostic
+        line reports what stopped the query and how to raise the
+        limit.
 
         This is the terminal rendering of :meth:`ievents`: values
         print as they stream, truncations print their diagnostic,

@@ -26,7 +26,7 @@ from repro.ctype.types import (
     INT,
     RecordType,
 )
-from repro.core.errors import DuelError, DuelMemoryError, DuelTypeError
+from repro.core.errors import DuelMemoryError, DuelTypeError
 from repro.core.symbolic import Sym, SymText
 
 
@@ -184,10 +184,10 @@ class ValueOps:
     def _read(self, v: DuelValue, address: int, size: int) -> bytes:
         try:
             return self.backend.get_target_bytes(address, size)
-        except DuelError:
-            # A cancellation or limit tripping *inside* a backend call
-            # (the watchdog's async raise) is not a memory fault and
-            # must keep its identity.
+        except RecursionError:
+            # A query too deep for the Python stack, which may run out
+            # during any read: the session reports that, not the
+            # address.
             raise
         except Exception:
             raise DuelMemoryError(
@@ -196,7 +196,7 @@ class ValueOps:
     def _write(self, v: DuelValue, address: int, data: bytes) -> None:
         try:
             self.backend.put_target_bytes(address, data)
-        except DuelError:
+        except RecursionError:
             raise
         except Exception:
             raise DuelMemoryError(

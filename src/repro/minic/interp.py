@@ -35,6 +35,18 @@ from repro.target.symbols import SymbolKind
 
 _SYM = SymText("")  # mini-C carries no symbolic derivations
 
+#: Statements between polls of the running query's checkpoint (see
+#: :attr:`~repro.target.program.TargetProgram.checkpoint`): at a few
+#: microseconds a statement, a deadline or a ^C is noticed within a few
+#: milliseconds, and the poll costs the per-statement path nothing.
+POLL_EVERY = 1024
+
+#: Deepest call nesting one top-level target call may reach (itself
+#: included).  Each level costs the interpreter about ten Python
+#: frames, so runaway recursion trips this bound, not Python's own
+#: recursion limit, however deep the caller's stack already is.
+MAX_CALL_DEPTH = 64
+
 
 class _Break(Exception):
     pass
@@ -61,6 +73,8 @@ class Interpreter:
         #: included); nested calls share their caller's count.
         self.max_steps = max_steps
         self._steps = 0
+        #: The statement count that next takes :meth:`_check`.
+        self._next_check = min(max_steps + 1, POLL_EVERY)
         self._depth = 0
         self.functions: dict[str, A.FuncDef] = {}
         #: Debugger hook: called as trace(event, payload) around
@@ -133,9 +147,14 @@ class Interpreter:
     def _call_function(self, func: A.FuncDef, raw_args: Sequence):
         ftype = func.ctype
         assert isinstance(ftype, FunctionType)
-        frame = self.program.stack.push(func.name)
         if self._depth == 0:
             self._steps = 0
+            self._next_check = min(self.max_steps + 1, POLL_EVERY)
+        elif self._depth >= MAX_CALL_DEPTH:
+            raise MiniCRuntimeError(
+                f"call depth exceeded {MAX_CALL_DEPTH} "
+                f"(calling {func.name})")
+        frame = self.program.stack.push(func.name)
         self._depth += 1
         try:
             for name, ptype, raw in zip(func.param_names, ftype.params,
@@ -185,9 +204,22 @@ class Interpreter:
     # ==================================================================
     def _step(self, line: int) -> None:
         self._steps += 1
+        if self._steps >= self._next_check:
+            self._check(line)
+
+    def _check(self, line: int) -> None:
+        """Slow path of :meth:`_step`, every :data:`POLL_EVERY`
+        statements and once past the cap: enforce the cap, and poll the
+        checkpoint of the query whose call is running, if any (a
+        deadline or a ^C raises out of the call from here)."""
         if self._steps > self.max_steps:
             raise MiniCRuntimeError(
                 f"execution exceeded {self.max_steps} steps (line {line})")
+        checkpoint = self.program.checkpoint
+        if checkpoint is not None:
+            checkpoint()
+        self._next_check = min(self.max_steps + 1,
+                               self._steps + POLL_EVERY)
 
     def _exec_block(self, block: A.Block, frame) -> None:
         for stmt in block.body:

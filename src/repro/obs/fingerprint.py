@@ -59,13 +59,25 @@ def canonical(node: N.Node) -> str:
     return _render(node, bound_names(node))
 
 
-def _render(node: N.Node, aliases: dict) -> str:
-    parts = [node.op]
-    extra = _extra(node, aliases)
-    if extra is not None:
-        parts.append(extra)
-    parts.extend(_render(kid, aliases) for kid in node.kids)
-    return "(" + " ".join(parts) + ")"
+def _render(root: N.Node, aliases: dict) -> str:
+    """``(op extra kid...)``, rendered iteratively: a flat chain such
+    as ``1 + 1 + ... + 1`` is as deep as it is long."""
+    parts = []
+    pending: list = [root]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append("(" + item.op)
+        extra = _extra(item, aliases)
+        if extra is not None:
+            parts.append(" " + extra)
+        pending.append(")")
+        for kid in reversed(item.kids):
+            pending.append(kid)
+            pending.append(" ")
+    return "".join(parts)
 
 
 def _extra(node: N.Node, aliases: dict):

@@ -352,7 +352,7 @@ class ChaosProxy:
             self.events.append((index, kind, direction, offset))
 
     def _sleep(self, seconds: float) -> None:
-        """Directive sleep, interruptible by :meth:`stop`."""
+        """Directive sleep, cut short by :meth:`stop`."""
         self._stopping.wait(seconds)
 
     def _accept_loop(self) -> None:

@@ -47,16 +47,19 @@ happy path:
   resume key for ``resume_ttl`` seconds; a reconnect presenting the
   key in ``hello`` re-attaches it, aliases and idempotency cache
   intact.
-* **Watchdog hard-cancel.**  A query that ignores its cooperative
-  deadline is first hard-cancelled — its token is tripped *and* a
-  :class:`~repro.core.errors.DuelCancelled` is asynchronously raised
-  into the worker (only while the drive loop is interruptible, never
-  during cleanup).  If the worker is still wedged ``watchdog_grace``
-  later it is declared lost: the session's leases are reclaimed
-  (snapshot restored, RW lock released — crash-only cleanup), the
-  session is poisoned, the client gets a ``cancelled`` terminal
-  frame, and a replacement worker thread is started so the pool never
-  shrinks.
+* **Watchdog hard-cancel.**  Every query stops itself at its own
+  checkpoints — between values, and every few statements inside a
+  running target call — so a deadline or a ``cancel`` never needs
+  the watchdog.  A query still running at 1.5x its deadline (60 s
+  with ``deadline_ms off``) is hard-cancelled: its token is tripped,
+  and it ends ``cancelled`` at its next checkpoint.  A worker that
+  reaches none within ``watchdog_grace`` after that (it is blocked
+  in a backend call that polls nothing) is declared lost: the
+  session's leases are reclaimed (snapshot restored, RW lock
+  released — crash-only cleanup), the session is poisoned, the
+  client gets a ``cancelled`` terminal frame, and a replacement
+  worker thread is started so the pool never shrinks; the lost
+  worker exits when it wakes.
 * **Idempotency.**  ``duel`` frames may carry an ``idem`` token; the
   completed result is cached per session and a retried token is
   *replayed* (``replayed: true``), never re-executed — a retry after
@@ -87,7 +90,7 @@ import time
 from collections import deque
 from typing import Optional
 
-from repro.core.errors import DuelCancelled, DuelError
+from repro.core.errors import DuelError
 from repro.obs.reqtrace import RequestTrace, make_trace_id
 from repro.serve import protocol
 from repro.serve.health import CircuitBreaker, ServerHealth
@@ -118,27 +121,6 @@ TARGET_FAULT_TYPES = frozenset({"DuelTargetError", "TargetMemoryFault"})
 #: Watchdog deadline assumed for queries running with no
 #: ``deadline_ms`` limit, seconds.
 DEFAULT_WATCHDOG_DEADLINE = 60.0
-
-
-def _async_raise(tid: int) -> bool:
-    """Raise :class:`DuelCancelled` inside thread ``tid`` (best effort).
-
-    The CPython-only escalation for a worker ignoring its cooperative
-    token: the exception lands at the thread's next bytecode boundary,
-    so a loop wedged in pure Python unwinds; a thread blocked in a C
-    call does not (the caller escalates to reclaim after a grace
-    period).  Returns False when the raise could not be delivered.
-    """
-    try:
-        import ctypes
-        set_async = ctypes.pythonapi.PyThreadState_SetAsyncExc
-    except (ImportError, AttributeError):  # pragma: no cover - non-CPython
-        return False
-    res = set_async(ctypes.c_ulong(tid), ctypes.py_object(DuelCancelled))
-    if res > 1:                            # pragma: no cover - defensive
-        set_async(ctypes.c_ulong(tid), None)
-        return False
-    return res == 1
 
 
 def _accesses_frame(frame: dict) -> dict:
@@ -173,9 +155,7 @@ class _Pending:
     *after* that clear, closing the race).
 
     The watchdog reads the timing fields (``started_at``,
-    ``deadline_s``, ``hard_cancelled_at``) and the ``interruptible``
-    flag — True exactly while the drive loop runs, so an async raise
-    can never land inside cleanup code.  ``finish_pending`` is
+    ``deadline_s``, ``hard_cancelled_at``).  ``finish_pending`` is
     idempotent via ``done``: the driving worker and the watchdog can
     race to finish a query and exactly one of them sends the terminal
     frame.
@@ -183,8 +163,8 @@ class _Pending:
 
     __slots__ = ("conn", "client", "request_id", "text", "lock",
                  "cancelled", "started", "done", "idem", "writes",
-                 "started_at", "deadline_s", "worker_tid",
-                 "worker_thread", "interruptible", "hard_cancelled_at",
+                 "started_at", "deadline_s", "worker_thread",
+                 "hard_cancelled_at",
                  "idem_lines", "idem_bytes", "idem_clipped",
                  "trace_id", "profile", "admitted_at", "access")
 
@@ -219,9 +199,7 @@ class _Pending:
         self.writes = writes
         self.started_at: Optional[float] = None
         self.deadline_s: Optional[float] = None
-        self.worker_tid: Optional[int] = None
         self.worker_thread: Optional[threading.Thread] = None
-        self.interruptible = False
         self.hard_cancelled_at: Optional[float] = None
         self.idem_lines: list[str] = []
         self.idem_bytes = 0
@@ -240,7 +218,6 @@ class _Pending:
                 return False
             self.started = True
             self.started_at = time.monotonic()
-            self.worker_tid = threading.get_ident()
             self.worker_thread = threading.current_thread()
             dms = self.client.session.governor.limits.get("deadline_ms")
             self.deadline_s = dms / 1000.0 if dms else None
@@ -371,8 +348,8 @@ class DuelServer:
     drive the ping/reap cycle (either <= 0 disables it);
     ``resume_ttl`` bounds how long an abnormally disconnected session
     stays resumable; ``watchdog_tick`` is the watchdog's cadence and
-    ``watchdog_grace`` the window between the async raise and
-    declaring a worker lost; ``health`` (or the ``breaker_*``
+    ``watchdog_grace`` the window between the watchdog's token trip
+    and declaring a worker lost; ``health`` (or the ``breaker_*``
     shorthands) configures degraded mode.
     """
 
@@ -803,29 +780,34 @@ class DuelServer:
                     self._declare_worker_lost(pending)
 
     def _hard_cancel(self, pending: _Pending, now: float) -> None:
-        """Escalation stage 1: trip the token, async-raise into the worker."""
+        """Escalation stage 1: trip the query's token.
+
+        The drive polls it between values and, every few statements,
+        inside a running target call, so any query still making
+        progress ends ``cancelled`` at its next checkpoint — including
+        one run with ``deadline_ms off``.
+        """
         pending.client.token.trip("watchdog deadline")
-        raised = False
         with pending.lock:
             pending.hard_cancelled_at = now
             if pending.done:
                 return
-            if pending.interruptible and pending.worker_tid is not None:
-                raised = _async_raise(pending.worker_tid)
         self.hard_cancels += 1
         self._count("serve_watchdog_hard_cancels_total")
         self._server_event("hard_cancel", client=pending.client.client_id,
-                           request=pending.request_id, raised=raised)
+                           request=pending.request_id)
 
     def _declare_worker_lost(self, pending: _Pending) -> None:
-        """Escalation stage 2: the worker ignored even the async raise.
+        """Escalation stage 2: the worker never reached a checkpoint
+        (it is blocked in a backend call that polls nothing).
 
         Crash-only recovery: settle the session's leases on the
         worker's behalf (restores any pending snapshot, releases the
         RW lock, poisons the session), answer the client, and replace
         the lost worker thread so the pool keeps its size.  The zombie
         thread may wake later; ``finish_pending`` being idempotent
-        means it can no longer send frames or double-release anything.
+        means it can no longer send frames or double-release anything,
+        and its loop exits once it finds itself replaced.
         """
         conn = pending.conn
         settled = self.sessions.reclaim(pending.client)
@@ -1411,6 +1393,7 @@ class DuelServer:
 
     # -- query workers -----------------------------------------------------
     def _worker_loop(self) -> None:
+        me = threading.current_thread()
         while True:
             item = self._queue.get()
             try:
@@ -1419,6 +1402,8 @@ class DuelServer:
                 self._drive(item)
             finally:
                 self._queue.task_done()
+            if me not in self._worker_threads:
+                return        # declared lost while wedged: replaced
 
     def _drive(self, pending: _Pending) -> None:
         conn = pending.conn
@@ -1454,7 +1439,6 @@ class DuelServer:
         request_id = pending.request_id
         outcome_frame = None
         record = None
-        interrupted = None
 
         def send_values(batch: list) -> bool:
             nonlocal stream_ms
@@ -1482,47 +1466,28 @@ class DuelServer:
                 trace=pending.profile or self.tracelog is not None,
                 force=pending.profile or pending.access,
                 trace_id=pending.trace_id)
-            with pending.lock:
-                pending.interruptible = True
-            while True:
-                try:
-                    for kind, payload in events:
-                        if kind != "value":
-                            record = payload["record"]
-                            outcome_frame = protocol.terminal(
-                                request_id, kind, payload)
-                            continue
-                        values += 1
-                        if pending.access:
-                            # The accesses op answers with the locality
-                            # profile; the values themselves stay home.
-                            continue
-                        batch.append(payload)
-                        batch_bytes += len(payload)
-                        if pending.idem is not None:
-                            pending.idem_note(payload)
-                        if len(batch) >= protocol.CHUNK \
-                                or batch_bytes >= protocol.CHUNK_BYTES:
-                            if not send_values(batch):
-                                # Peer is gone: stop driving promptly.
-                                pending.cancel("client disconnected")
-                            batch = []
-                            batch_bytes = 0
-                    break
-                except DuelCancelled as cancel:
-                    # The watchdog's async raise landed here, between
-                    # generator resumptions.  Its token is tripped, so
-                    # resuming ends the drive as an ordinary cancelled
-                    # query (one terminal, one record); a drive the
-                    # raise already unwound has nothing left to yield.
-                    interrupted = cancel
-            if outcome_frame is None and interrupted is not None:
-                outcome_frame = protocol.terminal(
-                    request_id, "cancelled",
-                    {"values": values,
-                     "kind": getattr(interrupted, "kind", None)
-                     or "cancel",
-                     "diagnostic": interrupted.diagnostic(values)})
+            for kind, payload in events:
+                if kind != "value":
+                    record = payload["record"]
+                    outcome_frame = protocol.terminal(
+                        request_id, kind, payload)
+                    continue
+                values += 1
+                if pending.access:
+                    # The accesses op answers with the locality
+                    # profile; the values themselves stay home.
+                    continue
+                batch.append(payload)
+                batch_bytes += len(payload)
+                if pending.idem is not None:
+                    pending.idem_note(payload)
+                if len(batch) >= protocol.CHUNK \
+                        or batch_bytes >= protocol.CHUNK_BYTES:
+                    if not send_values(batch):
+                        # Peer is gone: stop driving promptly.
+                        pending.cancel("client disconnected")
+                    batch = []
+                    batch_bytes = 0
         except DuelError as error:
             # Escaped the drive (e.g. the session was poisoned between
             # admission and pickup): a faulted query, not a server bug.
@@ -1537,8 +1502,6 @@ class DuelServer:
                  "error_type": type(error).__name__})
             self._count("serve_internal_errors_total")
         finally:
-            with pending.lock:
-                pending.interruptible = False
             first = conn.finish_pending(pending)
             if record is not None:
                 pending.client.last_stats = record.stats

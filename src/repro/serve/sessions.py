@@ -592,12 +592,13 @@ class SessionManager:
     def reclaim(self, client: ClientSession) -> int:
         """Settle every lease ``client`` holds, on its worker's behalf.
 
-        The watchdog's last resort for a worker wedged in a backend
-        call that ignores both the cancel token and the async raise:
-        restores any pending snapshot, releases the RW lock, and
-        poisons the session (the zombie thread may still wake inside
-        the shared target, so the session must never run another
-        query).  Returns the number of leases actually settled.
+        The watchdog's last resort for a worker that reached no
+        checkpoint after its token was tripped (blocked in a backend
+        call that polls nothing): restores any pending snapshot,
+        releases the RW lock, and poisons the session (the zombie
+        thread may still wake inside the shared target, so the
+        session must never run another query).  Returns the number of
+        leases actually settled.
         """
         client.poisoned = True
         settled = 0
@@ -631,8 +632,8 @@ class SessionManager:
         lock-and-snapshot state in a registered :class:`QueryLease`
         whose idempotent ``settle`` runs in the ``finally`` — and can
         equally be run by :meth:`reclaim` if this worker is lost — so
-        a crash, an abandoned generator, or a hard-cancelled thread
-        can never leak the lock or a half-mutated target.
+        a crash, an abandoned generator, or a lost worker can never
+        leak the lock or a half-mutated target.
 
         ``on_lock(kind, ms)``, when given, is called once the query
         holds its locks (and, for writes, its isolation snapshot) with

@@ -18,6 +18,7 @@ import abc
 import random
 from typing import Optional, Sequence
 
+from repro.core.errors import DuelTruncation
 from repro.target.memory import TargetMemoryFault
 from repro.target.program import TargetProgram
 from repro.target.symbols import Symbol
@@ -149,9 +150,14 @@ class GovernedBackend:
     enforced: target function calls and scratch allocations charge the
     ``calls`` / ``allocs`` quotas, and both honour the cooperative
     cancel token first — a ^C lands *between* target operations, not
-    only between generator steps.  Everything else delegates
-    transparently (reads stay zero-overhead: the step budget already
-    bounds them, one step per value).
+    only between generator steps.  While a call runs, the governor's
+    checkpoint is the target program's
+    :attr:`~repro.target.program.TargetProgram.checkpoint`, so the
+    interpreter polls it and a deadline or a ^C also lands *inside*
+    the call; such a stop is marked ``in_call`` for the session, which
+    rolls the query back.  Everything else delegates transparently
+    (reads stay zero-overhead: the step budget already bounds them,
+    one step per value).
     """
 
     def __init__(self, inner: DebuggerInterface, governor):
@@ -165,7 +171,21 @@ class GovernedBackend:
         governor = self.governor
         governor.checkpoint()
         governor.charge("calls")
-        return self.inner.call_target_func(target, raw_args)
+        program = getattr(self.inner, "program", None)
+        if program is None:
+            return self.inner.call_target_func(target, raw_args)
+        # Handed down for this one call and put back after, so a call
+        # made from inside another (a debugger condition evaluated
+        # while the program runs) leaves the outer one as it was.
+        outer = program.checkpoint
+        program.checkpoint = governor.checkpoint
+        try:
+            return self.inner.call_target_func(target, raw_args)
+        except DuelTruncation as stop:
+            stop.in_call = True
+            raise
+        finally:
+            program.checkpoint = outer
 
     def alloc_target_space(self, size: int) -> int:
         governor = self.governor

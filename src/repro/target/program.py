@@ -208,6 +208,12 @@ class TargetProgram:
         self._interned: dict[bytes, int] = {}
         self._data_next = DATA_BASE
         self._text_next = TEXT_BASE
+        #: The checkpoint of the query whose target call is running,
+        #: polled by whatever executes function bodies (None: nothing
+        #: to poll).  The debugger boundary sets it for one call at a
+        #: time (:class:`~repro.target.interface.GovernedBackend`), so
+        #: a deadline or a ^C stops a runaway call.
+        self.checkpoint: Optional[Callable[[], None]] = None
 
     # -- defining globals --------------------------------------------------
     def define(self, name: str, ctype: CType) -> Symbol:

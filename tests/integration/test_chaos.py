@@ -12,9 +12,10 @@ proving
 * **no leaks** — every session is reaped (active and parked both
   empty) once the dust settles, including a client vanishing between
   ``hello`` and ``welcome``;
-* **the watchdog works** — a query wedged in a backend call that
-  ignores the cooperative cancel token is hard-cancelled within 2x
-  its deadline;
+* **the watchdog works** — a worker wedged in a backend call that
+  reaches no checkpoint is declared lost within 2x its deadline: its
+  session is reclaimed and poisoned, and a replacement keeps the pool
+  at full size;
 * **degraded mode** — a faulting target trips the breaker: reads keep
   flowing, writes get ``rejected: degraded``, and a clean probe after
   the cooldown closes the breaker again.
@@ -333,34 +334,44 @@ class TestHeartbeatReap:
 
 
 class WedgedBackend(SimulatorBackend):
-    """Reads wedge (sleep, ignoring the cancel token) while armed."""
+    """While armed, the next read blocks until ``release`` is set: a
+    backend call that polls no checkpoint, which no cooperative stop
+    can reach."""
 
-    def __init__(self, program, switch):
+    def __init__(self, program, switch, release):
         super().__init__(program)
         self._switch = switch
+        self._release = release
 
     def get_target_bytes(self, address, size):
         if self._switch["armed"]:
             self._switch["armed"] = False
-            # A backend call that never checks the governor: the
-            # cooperative deadline cannot save us, only the watchdog.
-            for _ in range(1200):
-                time.sleep(0.05)
+            self._release.wait(timeout=30.0)
         return super().get_target_bytes(address, size)
+
+
+def _wedged_server(switch, release, grace, **kwargs):
+    program = workloads.big_array(ARRAY)
+    return DuelServer(
+        program, workers=2, queue_depth=8, per_client=1,
+        drain_timeout=10.0, heartbeat_interval=0.5,
+        heartbeat_timeout=60.0, watchdog_tick=0.05,
+        watchdog_grace=grace,
+        session_factory=lambda: DuelSession(
+            WedgedBackend(program, switch, release)),
+        **kwargs)
 
 
 class TestWatchdogHardCancel:
     def test_wedged_query_cancelled_within_twice_deadline(self):
+        """The watchdog trips the token at 1.5x the deadline; a read
+        that never reaches a checkpoint is answered ``watchdog_grace``
+        later, still within 2x the deadline, and its session is
+        poisoned."""
         metrics = MetricsRegistry()
         switch = {"armed": False}
-        program = workloads.big_array(ARRAY)
-        server = DuelServer(
-            program, workers=2, queue_depth=8, per_client=1,
-            metrics=metrics, drain_timeout=10.0,
-            heartbeat_interval=0.5, heartbeat_timeout=60.0,
-            watchdog_tick=0.05, watchdog_grace=60.0,
-            session_factory=lambda: DuelSession(
-                WedgedBackend(program, switch)))
+        release = threading.Event()
+        server = _wedged_server(switch, release, 0.1, metrics=metrics)
         server.start()
         try:
             client = DuelClient(port=server.port, client="wedge",
@@ -373,37 +384,35 @@ class TestWatchdogHardCancel:
             result = client.duel("x[..5]")
             elapsed = time.monotonic() - t0
             assert result.outcome == "cancelled", result.outcome
+            assert result.kind == "watchdog"
             # The acceptance bound: within 2x the query's deadline.
             assert elapsed < 2 * deadline_s, \
                 f"hard cancel took {elapsed:.2f}s (deadline {deadline_s}s)"
             assert server.hard_cancels == 1
             assert metrics.counter(
                 "serve_watchdog_hard_cancels_total").value == 1
-            # The lease settled normally (no reclaim): the session is
-            # not poisoned and keeps serving.
+            assert server.workers_lost == 1
             follow_up = client.duel("x[..3]")
-            assert follow_up.outcome == "done"
-            assert server.workers_lost == 0
+            assert follow_up.outcome == "rejected"
+            assert follow_up.reason == "poisoned"
             client.close()
         finally:
+            release.set()
             server.stop()
 
-
     def test_hard_cancelled_query_counted_once_in_statements(self):
+        """The watchdog answers for the lost worker and records
+        nothing; the worker records the query once when it wakes."""
         from repro.obs.statements import StatementStats
         switch = {"armed": False}
-        program = workloads.big_array(ARRAY)
+        release = threading.Event()
         statements = StatementStats()
-        server = DuelServer(
-            program, workers=2, queue_depth=8, per_client=1,
-            metrics=MetricsRegistry(), statements=statements,
-            drain_timeout=10.0, heartbeat_interval=0.5,
-            heartbeat_timeout=60.0, watchdog_tick=0.05,
-            watchdog_grace=60.0,
-            session_factory=lambda: DuelSession(
-                WedgedBackend(program, switch)))
+        server = _wedged_server(switch, release, 0.1,
+                                metrics=MetricsRegistry(),
+                                statements=statements)
         server.start()
         try:
+            pool = list(server._worker_threads)
             client = DuelClient(port=server.port, client="wedge",
                                 timeout=30.0,
                                 retry=RetryPolicy(retries=0))
@@ -412,49 +421,81 @@ class TestWatchdogHardCancel:
             result = client.duel("x[..5]")
             assert result.outcome == "cancelled", result.outcome
             assert server.hard_cancels == 1
+            (lost,) = [thread for thread in pool
+                       if thread not in server._worker_threads]
+            release.set()
+            assert wait_until(lambda: not lost.is_alive())
             (row,) = statements.snapshot()
             assert row["calls"] == 1
             client.close()
         finally:
+            release.set()
             server.stop()
 
-    def test_cancel_landing_between_resumptions_is_one_query(
-            self, monkeypatch):
-        """The async raise can land in the worker's own loop, between
-        two generator resumptions: the drive resumes, meets its
-        tripped token, and ends as one cancelled query — one terminal
-        frame, one statements call."""
-        from repro.core.errors import DuelCancelled
+
+class TestWatchdogWorkerLost:
+    def test_wedged_worker_is_declared_lost(self):
+        """A write wedged in a read that reaches no checkpoint: the
+        watchdog trips its token at 1.5x the deadline, and
+        ``watchdog_grace`` later declares the worker lost.  The client
+        gets ``cancelled`` kind ``watchdog``, the session is poisoned,
+        its write lock is released for everyone else, the pool keeps
+        its size once the wedge ends, and the query counts once."""
         from repro.obs.statements import StatementStats
-        from repro.serve import protocol
+        switch = {"armed": False}
+        release = threading.Event()
+        metrics = MetricsRegistry()
         statements = StatementStats()
-        server = DuelServer(workloads.big_array(ARRAY), workers=1,
-                            metrics=MetricsRegistry(),
-                            statements=statements, drain_timeout=10.0)
+        server = _wedged_server(switch, release, 0.3, metrics=metrics,
+                                statements=statements)
         server.start()
         try:
-            client = DuelClient(port=server.port, client="landing",
-                                timeout=30.0,
-                                retry=RetryPolicy(retries=0))
-            served = server.sessions.get(client.welcome["client"])
-            value_frame = protocol.value_frame
-
-            def landing(*args, **kwargs):
-                # What the watchdog does: trip the token, then raise.
-                monkeypatch.setattr(protocol, "value_frame", value_frame)
-                served.token.trip("watchdog deadline")
-                raise DuelCancelled("watchdog deadline")
-
-            monkeypatch.setattr(protocol, "value_frame", landing)
-            result = client.duel(f"x[..{ARRAY}]")
+            pool = list(server._worker_threads)
+            wedged = DuelClient(port=server.port, client="wedge",
+                                timeout=30.0, retry=RetryPolicy(retries=0))
+            other = DuelClient(port=server.port, client="other",
+                               timeout=30.0, retry=RetryPolicy(retries=0))
+            wedged.limits("deadline_ms", 200)
+            switch["armed"] = True
+            t0 = time.monotonic()
+            result = wedged.duel("x[0] = x[1]")
+            elapsed = time.monotonic() - t0
             assert result.outcome == "cancelled", result.outcome
-            assert result.kind == "cancel"
-            (row,) = statements.snapshot()
-            assert row["calls"] == 1
-            follow_up = client.duel("x[..3]")
-            assert follow_up.outcome == "done"
-            client.close()
+            assert result.kind == "watchdog"
+            assert "session poisoned" in result.diagnostic
+            # The token trip at 0.3 s, then the 0.3 s grace.
+            assert 0.5 < elapsed < 5.0, elapsed
+            assert server.hard_cancels == 1
+            assert metrics.counter(
+                "serve_watchdog_hard_cancels_total").value == 1
+            assert server.workers_lost == 1
+            follow_up = wedged.duel("x[..3]")
+            assert follow_up.outcome == "rejected"
+            assert follow_up.reason == "poisoned"
+            # Reclaim released the write lock: a write from another
+            # client goes through while the lost worker still sleeps.
+            write = other.duel("x[2] = 5")
+            assert write.outcome == "done", write.outcome
+            assert write.lines == ["x[2]=5 = 5"]
+            (lost,) = [thread for thread in pool
+                       if thread not in server._worker_threads]
+            release.set()
+            # Once it wakes, the lost worker finishes its query and
+            # exits instead of rejoining the pool beside its
+            # replacement.
+            assert wait_until(lambda: not lost.is_alive())
+            assert len(server._worker_threads) == 2
+            assert all(thread.is_alive()
+                       for thread in server._worker_threads)
+
+            def calls():
+                return [row["calls"] for row in statements.snapshot()
+                        if row["text"].count("(index") == 2]
+            assert wait_until(lambda: calls() == [1]), calls()
+            wedged.close()
+            other.close()
         finally:
+            release.set()
             server.stop()
 
 

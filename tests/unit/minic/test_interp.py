@@ -217,6 +217,55 @@ class TestArgvAndErrors:
         assert interp.exit_status is None
 
 
+class TestCallBounds:
+    """What stops a call: the step cap, the running query's checkpoint
+    (polled every POLL_EVERY statements), and the call-depth bound."""
+
+    LOOP = ("int n; int loop(int k) { int i; "
+            "for (i = 0; i < k; i++) n = n + 1; return n; } "
+            "int main(void) { return 0; }")
+
+    def test_checkpoint_polled_every_poll_every_statements(self):
+        from repro.minic.interp import POLL_EVERY
+        interp = run(self.LOOP)
+        polls = []
+        interp.program.checkpoint = lambda: polls.append(interp._steps)
+        interp.call("loop", 5_000)
+        assert len(polls) == interp._steps // POLL_EVERY
+        assert polls == [POLL_EVERY * (i + 1) for i in range(len(polls))]
+
+    def test_checkpoint_stop_unwinds_the_call(self):
+        class Stop(Exception):
+            pass
+
+        def stop():
+            raise Stop()
+        interp = run(self.LOOP)
+        interp.program.checkpoint = stop
+        with pytest.raises(Stop):
+            interp.call("loop", 5_000)
+        assert interp.program.stack.depth == 0
+        interp.program.checkpoint = None
+        assert interp.call("loop", 10) > 0
+
+    def test_runaway_recursion_hits_the_depth_bound(self):
+        from repro.minic.interp import MAX_CALL_DEPTH
+        interp = run("int f(int n) { return f(n + 1); } "
+                     "int main(void) { return 0; }")
+        with pytest.raises(MiniCRuntimeError,
+                           match=f"call depth exceeded {MAX_CALL_DEPTH} "
+                                 r"\(calling f\)"):
+            interp.call("f", 0)
+        assert interp.program.stack.depth == 0
+        assert interp._depth == 0
+
+    def test_recursion_within_the_bound_runs(self):
+        from repro.minic.interp import MAX_CALL_DEPTH
+        interp = run("int d(int n) { return n == 0 ? 0 : 1 + d(n - 1); } "
+                     "int main(void) { return 0; }")
+        assert interp.call("d", MAX_CALL_DEPTH - 1) == MAX_CALL_DEPTH - 1
+
+
 class TestStateVisibleToDebugger:
     def test_globals_land_in_data_segment(self):
         interp = run("int marker = 77; int main(void) { return 0; }")
