@@ -23,8 +23,8 @@ Three questions, one artifact (``BENCH_7.json``):
 3. **How long does recovery take?**  The durable server is crashed
    (journal poisoned, sockets torn) after committing a batch of
    writes; the wall time of booting a fresh server over the same
-   state dir — checkpoint load + journal replay + session
-   resurrection — is the recovery latency.
+   state dir — checkpoint load + applying the journaled write deltas
+   + session resurrection — is the recovery latency.
 
 Standalone on purpose (argparse, not pytest): CI calls it directly
 and keys a job failure off the exit status::
@@ -189,17 +189,17 @@ def recovery(writes: int, scratch: Path) -> dict:
     recovered.start()
     recovery_ms = (time.perf_counter() - start) * 1000.0
     try:
-        replayed = recovered.replayed_writes
+        applied = recovered.applied_writes
         sessions = recovered.recovered_sessions
-        if replayed != writes:
+        if applied != writes:
             raise RuntimeError(
-                f"recovery replayed {replayed} of {writes} writes")
+                f"recovery applied {applied} of {writes} writes")
     finally:
         recovered.stop()
         server.stop()
-    print(f" recovery: {recovery_ms:8.1f}ms to replay {replayed} "
+    print(f" recovery: {recovery_ms:8.1f}ms to apply {applied} "
           f"writes and resurrect {sessions} session(s)")
-    return {"writes_journaled": writes, "writes_replayed": replayed,
+    return {"writes_journaled": writes, "writes_applied": applied,
             "sessions_recovered": sessions,
             "recovery_ms": round(recovery_ms, 2)}
 

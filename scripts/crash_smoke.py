@@ -12,7 +12,10 @@ proves the crash-only durability layer end to end:
   restart itself must announce readiness within a wall-clock bound;
 * every client **resumes its own session** across the restart — the
   resume keys issued by the killed lifetime are honored by the
-  recovered one, with aliases intact;
+  recovered one, with every alias bound to the value it had: an
+  lvalue alias still names its cell, an rvalue alias defined before
+  the increment and a ``#`` index alias keep their values even though
+  a checkpoint taken after the increment covers their definitions;
 * background readers **ride out the gap** via the client's restart
   window: refused dials during the restart wait instead of burning
   retries, and the same ``duel()`` call completes after recovery;
@@ -47,6 +50,8 @@ from repro.serve.client import (DuelClient, RetryPolicy,  # noqa: E402
 
 CLIENTS = 4
 HANG_TIMEOUT = 180.0
+#: Seconds between the first lifetime's checkpoints.
+CHECKPOINT_INTERVAL = 2.0
 RESTART_BOUND = 30.0
 
 PROGRAM = """\
@@ -152,8 +157,8 @@ def check_checkpoint_epoch(state_dir):
 
 
 def check_exactly_once(qlog_paths):
-    """Each unique write text drove at most one execution, across
-    every lifetime's audit log (recovery replays run unaudited)."""
+    """Each unique write text drove exactly one execution, across
+    every lifetime's audit log (recovery runs no query)."""
     received = []
     server_kinds = {}
     for path in qlog_paths:
@@ -201,7 +206,7 @@ def main():
         [source, "--serve", "--port", str(port),
          "--state-dir", state_dir, "--commit-writes",
          "--journal-fsync", "interval:1.0",
-         "--checkpoint-interval", "2",
+         "--checkpoint-interval", str(CHECKPOINT_INTERVAL),
          "--query-log", qlogs[0], "--query-log-fsync",
          "--workers", "4", "--max-clients", "16",
          "--heartbeat-interval", "0.5", "--heartbeat-timeout", "5",
@@ -212,16 +217,20 @@ def main():
         server.start()
         print(f"lifetime 1 serving on :{server.port}")
 
-        # Phase A: every client aliases a cell and commits its unique
-        # idempotent increment, then starts a background read loop.
+        # Phase A: every client aliases a cell, its value and an
+        # index, commits its unique idempotent increment, then starts
+        # a background read loop.
         clients, tokens, readers = [], [], []
         stop = threading.Event()
         reader_stats = [dict() for _ in range(CLIENTS)]
         for index in range(CLIENTS):
             client = make_client(port, index)
             token = f"inc-{index}"
-            if client.duel(f"t{index} := data[{index}]").outcome != "done":
-                fail(f"client {index}: alias define failed")
+            for define in (f"t{index} := data[{index}]",
+                           f"r{index} := data[{index}] + 0",
+                           f"data[..{index + 1}]#n{index}"):
+                if client.duel(define).outcome != "done":
+                    fail(f"client {index}: {define!r} failed")
             result = client.duel(write_text(index), idem=token)
             if result.outcome != "done":
                 fail(f"client {index}: write outcome {result.outcome!r}")
@@ -232,7 +241,9 @@ def main():
                 args=(client, stop, reader_stats[index]))
             thread.start()
             readers.append(thread)
-        time.sleep(0.5)                    # readers mid-flight
+        # Readers mid-flight, and past one checkpoint interval, so a
+        # checkpoint taken after the increments covers the defines.
+        time.sleep(CHECKPOINT_INTERVAL + 0.5)
 
         # The crash: SIGKILL, then restart over the same state dir
         # (fresh audit log — the killed lifetime's file stays as
@@ -291,6 +302,13 @@ def main():
             if line != f"data[{index}] = {want}":
                 fail(f"client {index}: expected exactly one increment "
                      f"(data[{index}] = {want}), got {line!r}")
+            for name, value in ((f"r{index}", INITIAL[index]),
+                                (f"n{index}", index)):
+                read = client.duel(name)
+                got = read.lines[-1] if read.lines else read.error
+                if got != f"{name} = {value}":
+                    fail(f"client {index}: alias {name} should still be "
+                         f"{value} after the restart (got {got!r})")
             alias = client.duel(f"t{index}")
             aline = alias.lines[-1] if alias.lines else ""
             if aline != f"t{index} = {want}":

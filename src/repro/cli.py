@@ -47,8 +47,9 @@ DUEL REPL commands:
   accesses <expr>       run with the memory-access tracer; print the
                         stride/locality profile and prefetch advice
   cache                 page-cache statistics (--page-cache demand)
-  trace on|off          trace every sampled query (events kept in a
-                        ring buffer; --trace-sample N traces 1 in N)
+  trace on|off          trace every sampled query (--trace-json
+                        writes its events; --trace-sample N traces
+                        1 in N)
   qlog on|off           toggle the structured query log (--query-log)
   metrics [export]      metrics registry table, or Prometheus text format
   statements [by KEY]   per-query-shape statistics (total_ms, calls, ...)
@@ -573,11 +574,11 @@ def main(argv: Optional[Sequence[str]] = None,
                                   "(default 10)")
     serve_group.add_argument("--state-dir", metavar="DIR", default=None,
                              help="crash-only durability: journal "
-                                  "session state and committed writes "
-                                  "to DIR and checkpoint the target, "
-                                  "so a restart with the same DIR "
-                                  "recovers parked sessions and "
-                                  "replays writes")
+                                  "session state and committed writes' "
+                                  "effects to DIR and checkpoint the "
+                                  "target, so a restart with the same "
+                                  "DIR recovers parked sessions and "
+                                  "re-applies the writes")
     serve_group.add_argument("--journal-fsync", metavar="POLICY",
                              default="interval:1.0",
                              help="journal fsync policy: 'always', "
@@ -595,9 +596,9 @@ def main(argv: Optional[Sequence[str]] = None,
     serve_group.add_argument("--commit-writes", action="store_true",
                              help="side-effecting queries that drain "
                                   "to 'done' keep their effects on "
-                                  "the shared target (journaled and "
-                                  "replayed on recovery) instead of "
-                                  "being rolled back")
+                                  "the shared target (their effects "
+                                  "journaled and re-applied on recovery) "
+                                  "instead of being rolled back")
     serve_group.add_argument("--slow-ms", type=float, default=None,
                              metavar="MS",
                              help="queries slower than MS total are "

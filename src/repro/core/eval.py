@@ -914,20 +914,20 @@ class Evaluator:
             count = self.backend.frames_count()
             if not 0 <= index < count:
                 continue
-            yield _FrameValue(self.backend, index,
+            yield _FrameValue(index,
                               self._sym(lambda: SymText(f"frame({index})")))
 
 
 class _FrameValue(DuelValue):
-    """Pseudo-value representing one stack frame (for frame(i).x)."""
+    """Pseudo-value representing one stack frame (for frame(i).x); the
+    scope resolves its names, so it pickles like any other value."""
 
-    def __init__(self, backend, index: int, sym: Sym):
+    def __init__(self, index: int, sym: Sym):
         super().__init__(ctype=INT, sym=sym, value=index)
-        self.backend = backend
         self.frame_index = index
 
-    def frame_variable(self, name: str):
-        return self.backend.get_frame_variable(self.frame_index, name)
+    def with_sym(self, sym: Sym) -> "_FrameValue":
+        return _FrameValue(self.frame_index, sym)
 
 
 _NO_SYM = SymText("?")

@@ -54,6 +54,8 @@ class Scope:
         self._aliases: dict[str, DuelValue] = {}
         #: Count of symbol lookups performed (benchmark P2 reads this).
         self.lookup_count = 0
+        #: Count of alias bindings (a durable server journals on a move).
+        self.binds = 0
 
     # -- with stack -------------------------------------------------------
     def push(self, entry: WithEntry) -> None:
@@ -73,6 +75,7 @@ class Scope:
     def alias(self, name: str, value: DuelValue) -> None:
         """Bind a debugger alias (paper's ``alias(n->name, u)``)."""
         self._aliases[name] = value
+        self.binds += 1
 
     def unalias(self, name: str) -> None:
         self._aliases.pop(name, None)
@@ -114,9 +117,9 @@ class Scope:
         """Search the with stack, innermost first, for a field ``name``."""
         for entry in reversed(self._with_stack):
             # frame(i) pseudo-values resolve names in that stack frame.
-            frame_lookup = getattr(entry.value, "frame_variable", None)
-            if frame_lookup is not None:
-                symbol = frame_lookup(name)
+            frame = getattr(entry.value, "frame_index", None)
+            if frame is not None:
+                symbol = self.backend.get_frame_variable(frame, name)
                 if symbol is not None:
                     return lvalue(symbol.ctype, symbol.address, SymText(name))
                 continue

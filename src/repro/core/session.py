@@ -468,7 +468,8 @@ class DuelSession:
 
     def ievents(self, text: str, on_begin=None, access: bool = False,
                 trace: bool = False, force: bool = False,
-                trace_id: Optional[str] = None) -> Iterator[tuple]:
+                trace_id: Optional[str] = None,
+                isolated: bool = False) -> Iterator[tuple]:
         """Drive one query as a stream of ``(kind, payload)`` events.
 
         The one query lifecycle — governor, qlog, tracer, sinks,
@@ -514,7 +515,9 @@ class DuelSession:
         records its target accesses when ``access=True`` or an access
         log is attached; the verdict rides on the record as
         ``record.sampled``.  ``trace_id`` is the wire trace id the
-        record carries.
+        record carries.  With ``isolated=True`` the caller's own
+        snapshot undoes the query (the serve layer's write lease), so
+        the session takes none.
         """
         self.governor.begin_query()
         sampler = self.sampler
@@ -542,7 +545,7 @@ class DuelSession:
             on_begin()
         tracer = self._attach_tracer(node, text, trace, access) \
             if sampled else None
-        checkpoint = self._checkpoint_for(prepared)
+        checkpoint = None if isolated else self._checkpoint_for(prepared)
         self.evaluator.reset()
         baseline = self._stats_baseline()
         produced = 0
@@ -645,16 +648,19 @@ class DuelSession:
         exactly as under :meth:`duel` — but the output lines are
         swallowed; what prints instead is the annotated AST profile
         (pulls, yields, time share, attributed target reads per node)
-        and a one-line summary, the REPL's ``explain`` command.
+        and a one-line summary, the REPL's ``explain`` command.  A
+        query that never compiled, or nested too deeply to evaluate,
+        prints its error alone: there is no tree worth showing.
         """
         import sys
         from repro.obs.explain import profile_footer, render_profile
         stream = out if out is not None else sys.stdout
         for kind, info in self.ievents(text, trace=True, force=True):
-            if kind == "error":
-                stream.write(info["error"] + "\n")
-                return
+            pass
         record = info["record"]
+        if kind == "error" or isinstance(record.error, DuelDepthError):
+            stream.write(info["error"] + "\n")
+            return
         for line in render_profile(record.node, record.tracer):
             stream.write(line + "\n")
         stats = record.stats
@@ -670,21 +676,20 @@ class DuelSession:
         """A fresh engine tracer for an observed query, or None when
         nothing wants one.
 
-        ``trace on`` hands its events to :attr:`trace_sink` or rings
-        up to 64k of them; the flight recorder rings a short tail
-        (post-mortems want span aggregates plus the last events);
+        ``trace on`` hands its events to :attr:`trace_sink`
+        (``--trace-json``) and otherwise keeps only the span tree,
+        which ``last_query`` holds; the flight recorder rings a short
+        tail (post-mortems want span aggregates plus the last events);
         ``trace`` alone wants only the span tree, and an access-traced
         query (``access`` or an access log) keeps its access ring on
         the same tracer.
         """
         access = access or self.accesslog is not None
-        if self.tracing:
+        if self.tracing and self.trace_sink is not None:
             sink = self.trace_sink
-            if sink is None:
-                sink = RingBufferSink(65536)
         elif self.recorder is not None:
             sink = RingBufferSink(self.recorder.ring_capacity)
-        elif trace or access:
+        elif self.tracing or trace or access:
             sink = None
         else:
             return None

@@ -422,6 +422,8 @@ class TypedefType(CType):
         return self.target.strip_typedefs()
 
     def __getattr__(self, item):  # delegate classification/layout queries
+        if item.startswith("__"):     # unpickling, before ``target`` is set
+            raise AttributeError(item)
         return getattr(self.target, item)
 
     @property

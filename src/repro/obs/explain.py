@@ -28,17 +28,20 @@ def render_profile(root: N.Node, tracer: QueryTracer,
     total_ns = max(tracer.total_ns(), 1)
     span_of = tracer.span_for
     rows: list[tuple[str, object]] = []
-
-    def walk(node: N.Node, prefix: str, child_prefix: str) -> None:
-        rows.append((prefix + span_of(node).label, span_of(node)))
+    # Preorder, iteratively: a flat chain such as ``1 + 1 + ... + 1``
+    # is as deep as it is long.
+    pending = [(root, "", "")]
+    while pending:
+        node, prefix, child_prefix = pending.pop()
+        span = span_of(node)
+        rows.append((prefix + span.label, span))
         kids = node.kids
-        for position, kid in enumerate(kids):
+        for position in range(len(kids) - 1, -1, -1):
             last = position == len(kids) - 1
             connector = "└─ " if last else "├─ "
             descend = "   " if last else "│  "
-            walk(kid, child_prefix + connector, child_prefix + descend)
-
-    walk(root, "", "")
+            pending.append((kids[position], child_prefix + connector,
+                            child_prefix + descend))
     width = max(min_label_width, max(len(head) for head, _ in rows))
     lines = []
     for head, span in rows:

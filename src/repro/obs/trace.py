@@ -285,17 +285,22 @@ class QueryTracer:
         self.spans = []
         self._by_id = {}
         self._stack = []
-        self._register_tree(root, 0)
+        self._register_tree(root)
         if self.sink is not None:
             self._events = []
             self.sink.begin_query(text, self.spans)
 
-    def _register_tree(self, node: N.Node, depth: int) -> None:
-        span = NodeSpan(len(self.spans), node.op, node_label(node), depth)
-        self.spans.append(span)
-        self._by_id[id(node)] = span
-        for kid in node.kids:
-            self._register_tree(kid, depth + 1)
+    def _register_tree(self, root: N.Node) -> None:
+        """One span per node in preorder, iteratively (a flat chain is
+        as deep as it is long)."""
+        pending = [(root, 0)]
+        while pending:
+            node, depth = pending.pop()
+            span = NodeSpan(len(self.spans), node.op, node_label(node),
+                            depth)
+            self.spans.append(span)
+            self._by_id[id(node)] = span
+            pending.extend((kid, depth + 1) for kid in reversed(node.kids))
 
     def finish(self) -> None:
         """Flush the last events and the final span aggregates to the

@@ -12,9 +12,8 @@ acknowledged to any client:
 ``sess_open``
     a session was created (resume key, connection id, limits);
 ``sess_limit`` / ``sess_alias``
-    a governor limit was set / an alias-defining query completed
-    (recorded as its normalized source, replayed into a fresh session
-    at recovery);
+    a governor limit was set / a query bound aliases (one record per
+    query, each value a pickled :class:`~repro.core.values.DuelValue`);
 ``idem``
     a completed idempotency-cache entry (token plus the cached
     terminal result), so a write retried *across a server restart*
@@ -23,9 +22,10 @@ acknowledged to any client:
     lifecycle transitions (``sess_close`` is the tombstone: closed
     and expired sessions are not resurrected);
 ``write``
-    one *committed* side-effecting query (normalized source +
-    terminal outcome), appended while the target write lock is still
-    held, so journal order is exactly target apply order.
+    one *committed* side-effecting query's target
+    :func:`~repro.target.snapshot.delta` and the aliases it bound,
+    appended while the target write lock is still held, so journal
+    order is exactly target apply order (``text`` is a label only).
 
 Each record is framed ``<u32 length><u32 crc32(payload)><payload>``
 with a JSON payload carrying its monotone ``lsn``.  Appends always
@@ -47,9 +47,9 @@ use), serializes a :class:`~repro.target.snapshot.Snapshot` plus the
 session table, writes it atomically (temp + fsync + rename) under
 ``<state-dir>/checkpoint/``, and deletes journal segments the
 checkpoint made redundant.  Recovery is then: load the newest valid
-checkpoint, replay journal records with ``lsn`` beyond it — session
-records rebuild the parked-session table, ``write`` records re-apply
-committed queries to the target in lsn order.
+checkpoint, fold journal records with ``lsn`` beyond it into the
+session table, and apply the ``write`` records' deltas to the target
+in lsn order — no query runs.
 
 The segment/rotation discipline makes truncation safe: the journal
 is rotated *inside* the checkpoint freeze, so every record a new
@@ -58,10 +58,15 @@ Session records may be covered by both a checkpoint and the surviving
 segments; their application is idempotent.  ``write`` records cannot
 be (writes run under the same lock the freeze holds), which is what
 makes re-applying them exactly-once.
+
+**Format 2** (:data:`FORMAT`) journals effects and values.  Format 1
+journaled query texts; a state dir in it is refused with a
+:class:`JournalError` that names the format.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -82,12 +87,34 @@ RECORD_KINDS = frozenset(
 #: Default segment rotation threshold, bytes.
 SEGMENT_BYTES = 4 << 20
 
-#: Checkpoint file magic (bump on incompatible layout changes).
-CHECKPOINT_MAGIC = b"DUELCKPT1\n"
+#: The state-dir format; a checkpoint file begins ``DUELCKPT<format>``.
+FORMAT = 2
+CHECKPOINT_MAGIC = b"DUELCKPT%d\n" % FORMAT
 
 
 class JournalError(Exception):
     """The journal directory is unusable (I/O or layout trouble)."""
+
+
+def _older_format(what: str, found: str) -> JournalError:
+    return JournalError(f"{what} is in state-dir format {found}; this "
+                        f"build reads only format {FORMAT}: move the "
+                        "state dir aside to start fresh")
+
+
+def pack(value) -> str:
+    """``value`` as a record field: base64 of its pickle."""
+    return base64.b64encode(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+
+
+def unpack(text: str):
+    """The value :func:`pack` encoded (:class:`JournalError` if none)."""
+    try:
+        return pickle.loads(base64.b64decode(text))
+    except (ValueError, EOFError, AttributeError, ImportError,
+            pickle.UnpicklingError) as error:
+        raise JournalError(f"unreadable journal value: {error}") from error
 
 
 class FsyncPolicy:
@@ -307,12 +334,6 @@ class Journal:
         self.fsyncs += 1
         self._last_sync = now if now is not None else time.monotonic()
 
-    def sync(self) -> None:
-        """Force an fsync regardless of policy (checkpoint barrier)."""
-        with self._lock:
-            if self._stream is not None and not self._poisoned:
-                self._fsync_locked()
-
     def _rotate_locked(self) -> None:
         self._fsync_locked()
         self._stream.close()
@@ -476,13 +497,19 @@ class StateStore:
 
         Tries newest first and falls back on any corruption (bad
         magic, bad CRC, unpicklable body) — a half-written or damaged
-        checkpoint is skipped, never fatal.
+        checkpoint is skipped, never fatal.  A checkpoint of another
+        format is not damage: it raises :class:`JournalError`.
         """
         for lsn, path in reversed(self.checkpoint_files()):
             try:
                 with open(path, "rb") as handle:
                     data = handle.read()
                 if not data.startswith(CHECKPOINT_MAGIC):
+                    if data.startswith(b"DUELCKPT"):
+                        found = data[8:data.find(b"\n", 8)]
+                        raise _older_format(
+                            f"checkpoint {path}",
+                            found.decode("ascii", "replace"))
                     continue
                 framed = data[len(CHECKPOINT_MAGIC):]
                 length, crc = _FRAME.unpack_from(framed, 0)
@@ -520,62 +547,42 @@ def fold_sessions(state: dict, records) -> tuple[dict, list[dict]]:
     """Fold journal records into a session table + ordered write list.
 
     ``state`` maps resume key -> session-state dict (``key``,
-    ``client_id``, ``limits``, ``aliases``, ``idem``, ``closed``) —
-    typically the table a checkpoint restored, empty on cold start.
-    Returns the updated table and the ``write`` records in lsn order.
-    Pure and idempotent for session records (a record covered by both
-    the checkpoint and a surviving segment applies cleanly twice),
-    which is exactly the property the rotation-inside-freeze
-    discipline needs.
-
-    ``sess_close`` marks the entry closed rather than dropping it: a
-    closed session is never resurrected, but its *committed writes*
-    outlive it — they are target state, and recovery still needs the
-    session's aliases to re-drive them.
+    ``client_id``, ``limits``, ``aliases`` mapping names to values,
+    ``idem``) — typically the table a checkpoint restored, empty on
+    cold start.  Returns the updated table and the ``write`` records
+    in lsn order.  Pure and idempotent for session records (a record
+    covered by both the checkpoint and a surviving segment applies
+    cleanly twice), which is exactly the property the
+    rotation-inside-freeze discipline needs.  ``sess_close`` drops
+    the entry (its writes are target state, carried by their deltas);
+    a format-1 record raises :class:`JournalError`.
     """
     writes: list[dict] = []
-    for _, record in records:
-        kind = record.get("k")
-        key = record.get("key")
+    for lsn, record in records:
+        kind, key = record.get("k"), record.get("key")
+        if kind in ("write", "sess_alias") and "delta" not in record \
+                and "aliases" not in record:
+            raise _older_format(f"journal record lsn {lsn} ({kind})", "1")
         if kind == "write":
             writes.append(record)
+        if kind == "sess_open" and key is not None:
+            state.setdefault(key, {"key": key, "client_id": None,
+                                   "limits": {}, "aliases": {}, "idem": {}})
+        entry = state.get(key)
+        if entry is None:
             continue
-        if key is None:
-            continue
-        if kind == "sess_open":
-            entry = state.setdefault(
-                key, {"key": key, "client_id": record.get("client"),
-                      "limits": {}, "aliases": [], "idem": {},
-                      "closed": False})
-            entry["client_id"] = record.get("client",
-                                            entry.get("client_id"))
-            limits = record.get("limits")
-            if isinstance(limits, dict):
-                entry["limits"].update(limits)
+        if kind in ("sess_open", "sess_resume"):
+            entry["client_id"] = record.get("client", entry["client_id"])
+        if kind == "sess_open" and isinstance(record.get("limits"), dict):
+            entry["limits"].update(record["limits"])
         elif kind == "sess_limit":
-            entry = state.get(key)
-            if entry is not None:
-                entry["limits"][record.get("name")] = record.get("value")
-        elif kind == "sess_alias":
-            entry = state.get(key)
-            text = record.get("text")
-            if entry is not None and isinstance(text, str) \
-                    and text not in entry["aliases"]:
-                entry["aliases"].append(text)
-        elif kind == "idem":
-            entry = state.get(key)
-            result = record.get("result")
-            if entry is not None and isinstance(result, dict):
-                entry["idem"][record.get("token")] = result
-        elif kind == "sess_resume":
-            entry = state.get(key)
-            if entry is not None:
-                entry["client_id"] = record.get("client",
-                                                entry.get("client_id"))
+            entry["limits"][record.get("name")] = record.get("value")
+        elif kind == "idem" and isinstance(record.get("result"), dict):
+            entry["idem"][record.get("token")] = record["result"]
         elif kind == "sess_close":
-            entry = state.get(key)
-            if entry is not None:
-                entry["closed"] = True
+            del state[key]
+        if "aliases" in record:
+            entry["aliases"].update(unpack(record["aliases"]))
         # sess_park carries no state delta: parked sessions are
         # resurrected exactly like active ones (the crash disconnected
         # everybody, so *every* surviving session comes back parked).

@@ -94,7 +94,7 @@ from repro.core.errors import DuelError
 from repro.obs.reqtrace import RequestTrace, make_trace_id
 from repro.serve import protocol
 from repro.serve.health import CircuitBreaker, ServerHealth
-from repro.serve.journal import StateStore, fold_sessions
+from repro.serve.journal import StateStore, fold_sessions, unpack
 from repro.serve.sessions import (IDEM_LINES_BYTES, ClientSession,
                                   SessionManager)
 from repro.target import snapshot as target_snapshot
@@ -385,7 +385,7 @@ class DuelServer:
         #: The crash-only durability layer (None without --state-dir):
         #: a write-ahead journal plus periodic target checkpoints, so
         #: a restarted server with the same state dir resurrects every
-        #: parked session and re-applies every committed write.
+        #: parked session and applies every committed write's delta.
         self.store = StateStore(state_dir, fsync=journal_fsync,
                                 sync_hook=journal_sync_hook) \
             if state_dir else None
@@ -470,7 +470,7 @@ class DuelServer:
         self.workers_lost = 0
         self.checkpoints = 0
         self.recovered_sessions = 0
-        self.replayed_writes = 0
+        self.applied_writes = 0
         self.slow_query_count = 0
         #: ``accesses`` wire ops admitted (forced access profiles).
         self.accesses_served = 0
@@ -583,7 +583,7 @@ class DuelServer:
         self._worker_threads = []
         if self.store is not None:
             # A clean shutdown leaves a fresh checkpoint behind so the
-            # next start replays (almost) nothing.
+            # next start applies (almost) nothing.
             try:
                 self.checkpoint()
             except Exception:
@@ -878,18 +878,15 @@ class DuelServer:
     def _recover(self) -> None:
         """Rebuild target + sessions from checkpoint and journal.
 
-        Runs before the listener binds.  The order is load-bearing:
-        restore the checkpoint snapshot, then walk post-checkpoint
-        journal records *in lsn order* — re-driving each committed
-        ``write`` raw (effects persist; lsn order is the original
-        target apply order) and each alias define under take/restore
-        isolation (binds the alias, rolls back any incidental target
-        effect the write replay already applied).  Replay drives run
-        with the query log detached, so the exactly-once audit a
-        chaos harness performs over qlogs spans the restart cleanly.
+        Runs before the listener binds, and runs no query: restore the
+        checkpoint snapshot, fold the later journal records into the
+        session table, apply each committed ``write`` record's delta in
+        lsn order (the original apply order), park every surviving
+        session.  An older state-dir format raises ``JournalError``.
         """
         store = self.store
         journal = store.journal
+        program = self.sessions.program
         self._server_event("recover_begin",
                            torn=journal.recovered_torn_tail)
         if journal.recovered_torn_tail:
@@ -901,98 +898,34 @@ class DuelServer:
         if loaded is not None:
             ckpt_lsn, payload = loaded
             try:
-                snap = Snapshot.deserialize(payload["snapshot"],
-                                            self.sessions.program)
-                target_snapshot.restore(self.sessions.program, snap)
-                state = {entry["key"]: dict(entry, closed=False,
-                                            idem=dict(entry["idem"]),
-                                            limits=dict(entry["limits"]),
-                                            aliases=list(entry["aliases"]))
+                snap = Snapshot.deserialize(payload["snapshot"], program)
+                target_snapshot.restore(program, snap)
+                state = {entry["key"]: entry
                          for entry in payload.get("sessions", [])}
             except (ValueError, KeyError, TypeError):
                 # A checkpoint that will not deserialize is treated
-                # like no checkpoint at all: fresh target, replay
+                # like no checkpoint at all: fresh target, apply
                 # whatever journal segments survive.
                 state = {}
                 ckpt_lsn = 0
                 self._count("serve_checkpoint_errors_total")
-        ckpt_aliases = {key: list(entry.get("aliases") or [])
-                        for key, entry in state.items()}
-        records = list(journal.replay(ckpt_lsn))
-        state, _ = fold_sessions(state, records)
-        # Build every surviving session first (closed ones too: their
-        # committed writes still need a session to replay in), then
-        # replay in order.
-        clients: dict = {}
-        replayed_aliases: dict = {}
-        for key, entry in state.items():
-            clients[key] = self.sessions.resurrect(entry)
-            replayed_aliases[key] = set()
-        for key, client in clients.items():
-            for text in ckpt_aliases.get(key, ()):
-                self._replay_alias(client, text)
-                replayed_aliases[key].add(text)
-        writes_ok = writes_bad = 0
-        for _, record in records:
-            kind = record.get("k")
-            if kind not in ("write", "sess_alias"):
-                continue
-            client = clients.get(record.get("key"))
-            text = record.get("text")
-            if client is None or not isinstance(text, str):
-                continue
-            if kind == "write":
-                if self._replay_write(client, text):
-                    writes_ok += 1
-                else:
-                    writes_bad += 1
-            elif text not in replayed_aliases[record["key"]]:
-                self._replay_alias(client, text)
-                replayed_aliases[record["key"]].add(text)
-        # Park the survivors.  Every resurrected session comes back
-        # *parked* — the crash disconnected everybody — under its
-        # original resume key and the full TTL.
-        parked = 0
-        for key, entry in state.items():
-            client = clients[key]
-            self.sessions.finish_resurrect(client)
-            if not entry.get("closed") \
-                    and self.sessions.adopt_parked(client, self.resume_ttl):
-                parked += 1
+        state, writes = fold_sessions(state, journal.replay(ckpt_lsn))
+        for record in writes:
+            target_snapshot.apply(program, unpack(record["delta"]))
+        # Every resurrected session comes back *parked* — the crash
+        # disconnected everybody — under its original resume key and
+        # the full TTL.
+        parked = sum(self.sessions.adopt_parked(
+            self.sessions.resurrect(entry), self.resume_ttl)
+            for entry in state.values())
         self.recovered_sessions = parked
-        self.replayed_writes = writes_ok
+        self.applied_writes = len(writes)
         self._count("serve_recovered_sessions_total", parked)
-        self._count("serve_replayed_writes_total", writes_ok)
-        if writes_bad:
-            self._count("serve_replay_failures_total", writes_bad)
+        self._count("serve_applied_writes_total", len(writes))
         self._server_event("recover_done", lsn=journal.lsn,
                            checkpoint_lsn=ckpt_lsn, sessions=parked,
-                           writes=writes_ok, failed_writes=writes_bad)
+                           writes=len(writes))
         self._gauge_sync()
-
-    def _replay_write(self, client: ClientSession, text: str) -> bool:
-        """Re-apply one journaled committed write; effects persist."""
-        try:
-            outcome = None
-            for kind, _ in client.session.ievents(text):
-                if kind != "value":
-                    outcome = kind
-            return outcome == "done"
-        except Exception:
-            return False
-
-    def _replay_alias(self, client: ClientSession, text: str) -> None:
-        """Re-drive one alias define under take/restore isolation."""
-        program = self.sessions.program
-        checkpoint = target_snapshot.take(program)
-        try:
-            for _ in client.session.ievents(text):
-                pass
-        except Exception:
-            pass
-        finally:
-            target_snapshot.restore(program, checkpoint)
-            client.session.evaluator.invalidate_target_caches()
 
     def simulate_crash(self) -> None:
         """Die the way SIGKILL would, in-process (chaos harness hook).
@@ -1757,7 +1690,7 @@ def run_server(ns, program, limit_kwargs: dict, out,
         if server.store is not None:
             out.write(f"state: {getattr(ns, 'state_dir', None)} "
                       f"(recovered {server.recovered_sessions} sessions, "
-                      f"replayed {server.replayed_writes} writes)\n")
+                      f"applied {server.applied_writes} writes)\n")
         out.write(f"serving on {ns.host}:{port}\n")
         try:
             out.flush()

@@ -22,8 +22,9 @@ an isolated view of the stopped inferior.  Side-effecting queries get
 :func:`repro.target.snapshot.take` checkpoint, drives the query — the
 query's own output sees its effects, exactly like a private copy of
 the target — and restores the checkpoint before the lock is
-released.  A fault-injected crash mid-write is covered by the same
-restore, so one client's disaster is invisible to the rest.
+released.  That snapshot is the query's only one, and a fault-injected
+crash mid-write is covered by the same restore, so one client's
+disaster is invisible to the rest.
 
 The paper's single-user REPL semantics (writes persist across
 queries) remain available in-process; the serve layer deliberately
@@ -64,6 +65,7 @@ from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
 from repro.core.session import DuelSession
+from repro.serve.journal import pack
 from repro.target import snapshot
 from repro.target.interface import SimulatorBackend
 
@@ -122,10 +124,6 @@ class ReadWriteLock:
 #: Completed idempotent results remembered per session (LRU).
 IDEM_CACHE_MAX = 16
 
-#: Alias-defining query texts remembered per session for durable
-#: replay (recovery re-drives them to rebuild the alias namespace).
-ALIAS_TEXTS_MAX = 32
-
 #: Output bytes cached per idempotent result; a replay of a bigger
 #: result ships what fits plus a ``replay_truncated`` marker.
 IDEM_LINES_BYTES = 1 << 20
@@ -164,22 +162,13 @@ class ClientSession:
         self.resume_key = resume_key or secrets.token_hex(16)
         self.generation = 1
         self.poisoned = False
-        #: Alias-defining query texts, in definition order (bounded;
-        #: recovery re-drives these to rebuild the alias namespace).
-        self.alias_texts: list[str] = []
+        #: Alias values as last journaled, and the scope's bind count then.
+        self.journaled_aliases: dict = {}
+        self.journaled_binds = 0
         #: Stats of this client's latest served query (``stats`` op).
         self.last_stats: dict = {}
         self._idem_lock = threading.Lock()
         self._idem: OrderedDict[str, object] = OrderedDict()
-
-    def note_alias(self, text: str) -> bool:
-        """Remember an alias-defining query text; True when new."""
-        if text in self.alias_texts:
-            return False
-        if len(self.alias_texts) >= ALIAS_TEXTS_MAX:
-            self.alias_texts.pop(0)
-        self.alias_texts.append(text)
-        return True
 
     @property
     def token(self):
@@ -266,23 +255,7 @@ class QueryLease:
 
     def settle(self, forced: bool = False) -> bool:
         """Restore + release, idempotently; True for the first caller."""
-        with self._lock:
-            if self._settled:
-                return False
-            self._settled = True
-            self.forced = forced
-        manager = self.manager
-        try:
-            if self.checkpoint is not None:
-                snapshot.restore(manager.program, self.checkpoint)
-                self.client.session.evaluator.invalidate_target_caches()
-        finally:
-            if self.kind == "write":
-                manager._rw.release_write()
-            else:
-                manager._rw.release_read()
-            manager._unregister(self)
-        return True
+        return self._end(self._restore, forced)
 
     def commit(self, on_commit=None) -> bool:
         """Keep the write's effects: release *without* restoring.
@@ -296,14 +269,24 @@ class QueryLease:
         Nothing needs invalidating — no state was rewound, so every
         session's target-resident caches stay valid.
         """
+        return self._end(on_commit)
+
+    def _restore(self) -> None:
+        if self.checkpoint is not None:
+            snapshot.restore(self.manager.program, self.checkpoint)
+            self.client.session.evaluator.invalidate_target_caches()
+
+    def _end(self, action, forced: bool = False) -> bool:
+        """Claim the lease once, run ``action``, release the lock."""
         with self._lock:
             if self._settled:
                 return False
             self._settled = True
+            self.forced = forced
         manager = self.manager
         try:
-            if on_commit is not None:
-                on_commit()
+            if action is not None:
+                action()
         finally:
             if self.kind == "write":
                 manager._rw.release_write()
@@ -360,8 +343,8 @@ class SessionManager:
         self._lease_lock = threading.Lock()
 
     # -- session lifecycle -------------------------------------------------
-    def _make_session(self, audited: bool = True) -> DuelSession:
-        """A fresh client session; ``audited`` attaches the shared sinks."""
+    def _make_session(self) -> DuelSession:
+        """A fresh client session with the shared sinks attached."""
         if self._session_factory is not None:
             session = self._session_factory()
         else:
@@ -369,14 +352,10 @@ class SessionManager:
             if self._metrics is not None:
                 kwargs.setdefault("metrics", self._metrics)
             session = DuelSession(SimulatorBackend(self.program), **kwargs)
-        if audited:
-            self._attach_sinks(session)
-        return session
-
-    def _attach_sinks(self, session: DuelSession) -> None:
         for name, sink in self._sinks.items():
             if sink is not None:
                 setattr(session, name, sink)
+        return session
 
     def page_cache_policy(self):
         """The page-cache policy sessions are built with (or None).
@@ -525,7 +504,7 @@ class SessionManager:
                 "key": client.resume_key,
                 "client_id": client.client_id,
                 "limits": dict(client.session.governor.limits),
-                "aliases": list(client.alias_texts),
+                "aliases": client.session.aliases(),
                 "idem": client.idem_export(),
             })
         return exported
@@ -533,19 +512,14 @@ class SessionManager:
     def resurrect(self, entry: dict) -> ClientSession:
         """Rebuild one session from its journaled/checkpointed state.
 
-        Recovery-only: builds a fresh :class:`ClientSession` under the
-        *original* resume key with limits and idempotency cache
-        restored, and — crucially — with no shared sink attached, so
-        the replay drives recovery performs are never audited as new
-        queries (the exactly-once qlog invariant spans the restart).
-        The caller replays aliases/writes, then attaches the sinks via
-        :meth:`finish_resurrect` and parks via
-        :meth:`adopt_parked`.  Nothing here journals: the records that
-        described this session are still in the journal (or covered
-        by the checkpoint) until the next checkpoint supersedes them.
+        Recovery-only: a fresh :class:`ClientSession` under the
+        *original* resume key with its limits, alias values and
+        idempotency cache, for :meth:`adopt_parked`.  Nothing here runs
+        a query or journals: the journal (or the checkpoint) still
+        holds the records that described this session.
         """
         client = ClientSession(entry["client_id"] or "recovered",
-                               self._make_session(audited=False),
+                               self._make_session(),
                                resume_key=entry["key"])
         governor = client.session.governor
         for name, value in (entry.get("limits") or {}).items():
@@ -553,13 +527,13 @@ class SessionManager:
                 governor.set_limit(name, value)
             except (ValueError, KeyError):
                 continue
-        client.alias_texts = list(entry.get("aliases") or [])
+        scope = client.session.evaluator.scope
+        for name, value in (entry.get("aliases") or {}).items():
+            scope.alias(name, value)
+        client.journaled_aliases = scope.aliases()
+        client.journaled_binds = scope.binds
         client.idem_restore(entry.get("idem") or {})
         return client
-
-    def finish_resurrect(self, client: ClientSession) -> None:
-        """Attach the shared sinks once recovery replay is done."""
-        self._attach_sinks(client.session)
 
     def adopt_parked(self, client: ClientSession, ttl: float) -> bool:
         """Insert a resurrected session directly into the parked table.
@@ -668,32 +642,47 @@ class SessionManager:
             self._register(lease)
             terminal = None
             try:
-                for event in client.session.ievents(text, **drive):
+                # The lease's snapshot isolates the query.
+                for event in client.session.ievents(text, isolated=True,
+                                                    **drive):
                     if event[0] != "value":
                         terminal = event[0]
                     yield event
             finally:
+                journal = self.journal
                 committed = False
                 if writes and self.commit_writes and terminal == "done":
                     # Durable REPL semantics: a fully drained write
-                    # keeps its effects.  The journal append runs
-                    # inside commit(), under the still-held write
-                    # lock, so journal order is target apply order;
-                    # a racing forced settle (worker declared lost)
-                    # wins the claim and nothing is journaled.  A
-                    # ``truncated`` write still rolls back — a
-                    # half-applied effect has no deterministic replay.
+                    # keeps its effects.  Its record (the delta against
+                    # the lease's snapshot, and the aliases it bound)
+                    # is appended under the still-held write lock, so
+                    # journal order is target apply order; a racing
+                    # forced settle wins the claim and nothing is
+                    # journaled.  A ``truncated`` write rolls back.
                     committed = lease.commit(
-                        on_commit=lambda: self._journal_append(
+                        on_commit=None if journal is None else
+                        lambda: journal.append(
                             "write", key=client.resume_key, text=text,
-                            outcome=terminal))
+                            delta=pack(snapshot.delta(self.program,
+                                                      lease.checkpoint)),
+                            **self._rebound(client)))
                 if not committed:
                     lease.settle()
-                if terminal in ("done", "truncated") and ":=" in text:
-                    # Remember alias-defining texts (same heuristic
-                    # the client's replay uses) so recovery can
-                    # rebuild the alias namespace by re-driving them.
-                    if client.note_alias(text):
-                        self._journal_append("sess_alias",
-                                             key=client.resume_key,
-                                             text=text)
+                    rebound = self._rebound(client)
+                    if rebound:
+                        journal.append("sess_alias", key=client.resume_key,
+                                       **rebound)
+
+    def _rebound(self, client: ClientSession) -> dict:
+        """The aliases ``client``'s last query bound, as record fields
+        (empty without a journal, or after one compare of the scope's
+        bind count when the query bound none)."""
+        scope = client.session.evaluator.scope
+        if self.journal is None or scope.binds == client.journaled_binds:
+            return {}
+        client.journaled_binds = scope.binds
+        journaled = client.journaled_aliases
+        changed = {name: value for name, value in scope.aliases().items()
+                   if journaled.get(name) is not value}
+        journaled.update(changed)
+        return {"aliases": pack(changed)} if changed else {}

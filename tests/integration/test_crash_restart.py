@@ -10,9 +10,10 @@ directory must recover:
   resumable under the key its client already holds;
 * **restored session state** — aliases, governor limits, and the
   idempotency cache survive the restart;
-* **exactly-once writes** — committed (``--commit-writes``) queries
-  are replayed in journal order; a retried idempotency token after
-  the restart is answered from the recovered cache, never re-run;
+* **exactly-once writes** — committed (``--commit-writes``) queries'
+  journaled deltas are applied in journal order; a retried
+  idempotency token after the restart is answered from the recovered
+  cache, never re-run;
 * **torn tails tolerated** — a half-written final journal record is
   truncated on startup, never a refusal to start.
 """
@@ -49,7 +50,7 @@ def fast_retry(retries=4):
                        max_backoff=0.5, jitter=0.0)
 
 
-def make_server(state_dir, **kwargs):
+def make_server(state_dir, program=None, **kwargs):
     """A durable server over the deterministic big-array target."""
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("queue_depth", 16)
@@ -61,7 +62,7 @@ def make_server(state_dir, **kwargs):
     kwargs.setdefault("journal_fsync", "off")
     kwargs.setdefault("checkpoint_interval", 0.0)   # manual only
     kwargs.setdefault("commit_writes", True)
-    server = DuelServer(workloads.big_array(ARRAY),
+    server = DuelServer(program or workloads.big_array(ARRAY),
                         state_dir=str(state_dir), **kwargs)
     server.start()
     return server
@@ -105,7 +106,7 @@ class TestCrashRecovery:
             again = connect(restarted.port, resume_key=key)
             assert again.resumed
             assert again._resume_key == key
-            # The alias namespace was rebuilt by replay...
+            # The alias value was restored...
             assert again.duel("t").ok
             # ...and the governor limit set before the crash holds.
             assert again.limits()["limits"]["lines"] == 123
@@ -126,7 +127,7 @@ class TestCrashRecovery:
             client._teardown()
 
             restarted = self.crash_and_restart(server, tmp_path / "state")
-            assert restarted.replayed_writes == 1
+            assert restarted.applied_writes == 1
 
             again = connect(restarted.port, resume_key=key)
             assert again.resumed
@@ -161,8 +162,8 @@ class TestCrashRecovery:
             client._teardown()
 
             restarted = self.crash_and_restart(server, tmp_path / "state")
-            # Only the post-checkpoint write needed replaying.
-            assert restarted.replayed_writes == 1
+            # Only the post-checkpoint write needed applying.
+            assert restarted.applied_writes == 1
 
             again = connect(restarted.port, resume_key=key)
             assert again.resumed
@@ -218,8 +219,8 @@ class TestCrashRecovery:
         restarted = make_server(tmp_path / "state")
         try:
             # The shutdown checkpoint covered everything: nothing to
-            # replay, yet the state is all there.
-            assert restarted.replayed_writes == 0
+            # apply, yet the state is all there.
+            assert restarted.applied_writes == 0
             assert restarted.recovered_sessions == 1
             again = connect(restarted.port, resume_key=key)
             assert again.resumed
@@ -232,7 +233,7 @@ class TestCrashRecovery:
         server = make_server(tmp_path / "fresh")
         try:
             assert server.recovered_sessions == 0
-            assert server.replayed_writes == 0
+            assert server.applied_writes == 0
             client = connect(server.port)
             assert client.duel("x[..3]").ok
             client.close()
@@ -301,6 +302,160 @@ class TestCrashRecovery:
                 restarted["server"].stop()
 
 
+class TestRecoveryRestoresAcknowledgedState:
+    """Recovery restores the journaled effects and alias values — what
+    the server acknowledged — and re-runs no query text, so nothing a
+    text would read differently after the fact can diverge."""
+
+    def crash_and_resume(self, server, state_dir, key, **kwargs):
+        server.simulate_crash()
+        restarted = make_server(state_dir, **kwargs)
+        client = connect(restarted.port, resume_key=key)
+        assert client.resumed
+        return restarted, client
+
+    def reads(self, client, *texts):
+        return [last_value(client.duel(text)) for text in texts]
+
+    def test_alias_defined_before_a_checkpoint_keeps_its_value(
+            self, tmp_path):
+        server = make_server(tmp_path / "state")
+        restarted = None
+        try:
+            client = connect(server.port)
+            key = client._resume_key
+            cell = self.reads(client, "x[3]")[0].split(" = ")[1]
+            assert client.duel("y := x[3] + 0").ok
+            assert client.duel("x[3] = 555").ok
+            server.checkpoint()
+            first = client.duel("x[0] = y", idem="tok")
+            before = self.reads(client, "x[0]", "y")
+            assert before == [f"x[0] = {cell}", f"y = {cell}"]
+            client._teardown()
+
+            restarted, again = self.crash_and_resume(
+                server, tmp_path / "state", key)
+            assert self.reads(again, "x[0]", "y") == before
+            # The retried token's cached answer matches the target.
+            retry = again.duel("x[0] = y", idem="tok")
+            assert retry.replayed and retry.lines == first.lines
+            assert self.reads(again, "x[0]") == before[:1]
+            again.close()
+        finally:
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+    def test_redefined_alias_keeps_its_latest_value(self, tmp_path):
+        server = make_server(tmp_path / "state")
+        restarted = None
+        try:
+            client = connect(server.port)
+            key = client._resume_key
+            for text in ("y := x[3] + 0", "x[3] = 555", "y := x[3] + 0",
+                         "x[0] = y"):
+                assert client.duel(text).ok
+            before = self.reads(client, "x[0]", "y")
+            assert before == ["x[0] = 555", "y = 555"]
+            client._teardown()
+
+            restarted, again = self.crash_and_resume(
+                server, tmp_path / "state", key)
+            assert self.reads(again, "x[0]", "y") == before
+            again.close()
+        finally:
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+    @pytest.mark.parametrize("text, alias, commit", [
+        ("x[..3]#k", "k", True),
+        ("w := 9; x[0] = x[200000000]", "w", True),     # faults
+        ("int j; j = 3", "j", False),                   # rolled back
+    ])
+    def test_alias_bound_by_any_query_survives(self, tmp_path, text,
+                                               alias, commit):
+        server = make_server(tmp_path / "state", commit_writes=commit)
+        restarted = None
+        try:
+            client = connect(server.port)
+            key = client._resume_key
+            client.duel(text)
+            before = client.duel(alias)
+            assert before.ok
+            client._teardown()
+
+            restarted, again = self.crash_and_resume(
+                server, tmp_path / "state", key, commit_writes=commit)
+            assert again.duel(alias).lines == before.lines
+            again.close()
+        finally:
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+    def test_typedef_and_frame_aliases_survive_a_checkpoint(self, tmp_path):
+        from repro.ctype.types import INT
+
+        def build():
+            program = workloads.big_array(ARRAY)
+            program.declare("typedef int cell; cell tv;")
+            frame = program.stack.push("outer")
+            frame.declare("depth", INT)
+            program.write_value(frame.symbols.lookup("depth").address,
+                                INT, 1)
+            return program
+
+        server = make_server(tmp_path / "state", program=build())
+        restarted = None
+        try:
+            client = connect(server.port)
+            key = client._resume_key
+            for text in ("tv = 7", "t := tv", "f := frame(0)"):
+                assert client.duel(text).ok
+            server.checkpoint()
+            before = self.reads(client, "t", "f.depth")
+            assert before == ["t = 7", "depth = 1"]
+            client._teardown()
+
+            restarted, again = self.crash_and_resume(
+                server, tmp_path / "state", key, program=build())
+            assert self.reads(again, "t", "f.depth") == before
+            again.close()
+        finally:
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+    def test_recovery_runs_no_query(self, tmp_path, monkeypatch):
+        from repro.core.session import DuelSession
+        server = make_server(tmp_path / "state")
+        restarted = None
+        try:
+            client = connect(server.port)
+            assert client.duel("y := x[2], x[1] = 11").ok
+            client._teardown()
+            server.simulate_crash()
+            calls = []
+            for name in ("ievents", "prepare"):
+                monkeypatch.setattr(
+                    DuelSession, name,
+                    lambda self, *args, _name=name, **kwargs:
+                        calls.append(_name))
+            restarted = make_server(tmp_path / "state")
+            assert calls == []
+            assert restarted.applied_writes == 1
+            assert restarted.recovered_sessions == 1
+            monkeypatch.undo()
+            (entry,) = restarted.sessions.export_state()
+            assert list(entry["aliases"]) == ["y"]
+        finally:
+            monkeypatch.undo()
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+
 class TestRunServerCrashDump:
     """Satellite: an unhandled main-loop exception leaves a black box."""
 
@@ -352,7 +507,7 @@ class TestRunServerErrorExits:
             monkeypatch.setattr(cls, "close", close)
         return names
 
-    def run(self, tmp_path, **overrides):
+    def run(self, tmp_path, stop_event=None, **overrides):
         ns = SimpleNamespace(
             query_log=str(tmp_path / "queries.jsonl"), dump_dir=None,
             trace_json=str(tmp_path / "traces.jsonl"),
@@ -363,7 +518,8 @@ class TestRunServerErrorExits:
             metrics_port=None, no_symbolic=True)
         vars(ns).update(overrides)
         out = io.StringIO()
-        code = run_server(ns, workloads.big_array(10), {}, out)
+        code = run_server(ns, workloads.big_array(10), {}, out,
+                          stop_event=stop_event)
         return code, out.getvalue()
 
     @pytest.mark.parametrize("busy", ["port", "metrics_port"])
@@ -377,6 +533,28 @@ class TestRunServerErrorExits:
         assert text.startswith("error: ")
         assert sorted(closed) == ["AccessLog", "QueryLog", "StateStore",
                                   "TraceLog"]
+
+    @pytest.mark.parametrize("written_by", ["checkpoint", "journal"])
+    def test_format_1_state_dir_refused(self, tmp_path, closed,
+                                        written_by):
+        from repro.serve.journal import Journal
+        state = tmp_path / "state"
+        if written_by == "checkpoint":
+            (state / "checkpoint").mkdir(parents=True)
+            (state / "checkpoint" / "ckpt-000000000002.snap").write_bytes(
+                b"DUELCKPT1\n" + bytes(64))
+        else:
+            journal = Journal(str(state / "journal"), fsync="off")
+            journal.append("sess_open", key="A", client="c1", limits={})
+            journal.append("write", key="A", text="x[0] = 1",
+                           outcome="done")
+            journal.close()
+        served = threading.Event()
+        served.set()             # a server that starts stops at once
+        code, text = self.run(tmp_path, stop_event=served)
+        assert code == 1
+        assert text.startswith("error: ") and "format 1" in text
+        assert "StateStore" in closed
 
     def test_server_construction_error_closes_logs(self, tmp_path, closed):
         code, text = self.run(tmp_path, workers=0)

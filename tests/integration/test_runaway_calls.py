@@ -359,6 +359,30 @@ class TestDeepChains:
             "expression nests too deeply to evaluate; split it into "
             "shorter queries", "2"]
 
+    @pytest.mark.parametrize("traced", ["explain ", "trace on\n"])
+    def test_traced_repl_survives(self, traced):
+        # The tracer's span registration and the profile rendering
+        # walk the tree iteratively, so a traced query ends like an
+        # untraced one.
+        out = io.StringIO()
+        main([], stdin=io.StringIO(traced + chain(1500) + "\n1+1\n"),
+             out=out)
+        assert out.getvalue().splitlines()[-2:] == [
+            "expression nests too deeply to evaluate; split it into "
+            "shorter queries", "2"]
+
+    def test_served_profiled_ends_like_unprofiled(self):
+        server = serve("int x[4]; int main(void) { return 0; }")
+        try:
+            client = connect(server, "deep")
+            plain = client.duel(chain(1500))
+            profiled = client.duel(chain(1500), profile=True)
+            assert plain.outcome == profiled.outcome == "faulted"
+            assert profiled.error == plain.error
+            client.close()
+        finally:
+            server.stop()
+
     def test_served_does_not_feed_the_breaker(self):
         server = serve("int x[4]; int main(void) { return 0; }",
                        breaker_threshold=1)

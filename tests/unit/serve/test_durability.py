@@ -1,5 +1,6 @@
 """Unit tests for durable session state: journaled lifecycle,
-commit-writes mode, export/resurrect, and parked-TTL boundaries."""
+commit-writes mode, export/resurrect, parked-TTL boundaries, and the
+one snapshot a served write takes."""
 
 import io
 import threading
@@ -8,7 +9,7 @@ import pytest
 
 from repro.bench import workloads
 from repro.serve import sessions as sessions_module
-from repro.serve.journal import Journal, fold_sessions
+from repro.serve.journal import Journal, fold_sessions, unpack
 from repro.serve.sessions import QueryLease, SessionManager
 from repro.target import snapshot
 
@@ -41,6 +42,22 @@ def drain(manager, client, text):
 
 def journaled(journal):
     return [record for _, record in journal.replay()]
+
+
+def alias_records(journal):
+    """Each journaled alias binding as ``(name, rendered value)``."""
+    bound = []
+    for record in journaled(journal):
+        if "aliases" in record:
+            for name, value in unpack(record["aliases"]).items():
+                bound.append((name, rendered(value)))
+    return bound
+
+
+def rendered(value):
+    """What a bound alias is: its type, place or number, and symbol."""
+    return (value.ctype.name(), value.address, value.value,
+            value.sym.render())
 
 
 class FakeClock:
@@ -180,14 +197,29 @@ class TestJournaledLifecycle:
         assert kinds["sess_limit"]["value"] == 123
         assert kinds["idem"]["token"] == "tok-9"
 
-    def test_alias_text_journaled_once(self, manager, journal):
+    def test_alias_values_journaled_on_every_rebind(self, manager,
+                                                    journal):
         client = manager.open("c1")
+        x = manager.program.lookup("x").address
+        cell = int(drain(manager, client, "x[3]")[1][0].split(" = ")[1])
         assert drain(manager, client, "t := x[3]")[0] == "done"
-        assert drain(manager, client, "t := x[3]")[0] == "done"
-        aliases = [r for r in journaled(journal) if r["k"] == "sess_alias"]
-        assert len(aliases) == 1
-        assert aliases[0]["text"] == "t := x[3]"
-        assert client.alias_texts == ["t := x[3]"]
+        assert drain(manager, client, "t := x[3] + 0")[0] == "done"
+        assert drain(manager, client, "x[..3]#k")[0] == "done"
+        assert drain(manager, client, "t")[0] == "done"    # binds none
+        # One record per binding query, each holding the value bound:
+        # an lvalue's place, an rvalue's number, the last index.
+        assert [r["k"] for r in journaled(journal)] == \
+            ["sess_open"] + ["sess_alias"] * 3
+        assert alias_records(journal) == [
+            ("t", ("int", x + 12, None, "x[3]")),
+            ("t", ("int", None, cell, "x[3]+0")),
+            ("k", ("int", None, 2, "2"))]
+
+    def test_no_journal_no_alias_bookkeeping(self, program):
+        manager = SessionManager(program)
+        client = manager.open("c1")
+        drain(manager, client, "t := x[3]")
+        assert client.journaled_aliases == {}
 
     def test_park_eviction_journals_close(self, program, journal):
         manager = SessionManager(program, journal=journal)
@@ -210,8 +242,9 @@ class TestJournaledLifecycle:
         entry = state[client.resume_key]
         assert entry["client_id"] == "c2"
         assert entry["limits"]["lines"] == 99
-        assert entry["aliases"] == ["t := x[0]"]
-        assert entry["closed"] is False
+        assert {name: rendered(value)
+                for name, value in entry["aliases"].items()} == \
+            {"t": rendered(client.session.aliases()["t"])}
         assert writes == []
 
 
@@ -228,8 +261,28 @@ class TestCommitWrites:
         writes = [r for r in journaled(journal) if r["k"] == "write"]
         assert len(writes) == 1
         assert writes[0]["text"] == "x[3] = 777"
-        assert writes[0]["outcome"] == "done"
         assert writes[0]["key"] == writer.resume_key
+        # The record is the effect: the four stored bytes, nothing else.
+        delta = unpack(writes[0]["delta"])
+        assert delta["state"] == {}
+        x = program.lookup("x").address
+        runs = [(base + offset, chunk)
+                for _, base, _, _, region_runs in delta["regions"]
+                for offset, chunk in region_runs]
+        assert len(runs) == 1
+        start, chunk = runs[0]
+        assert start <= x + 12 and x + 16 <= start + len(chunk)
+        assert chunk[x + 12 - start:x + 16 - start] == \
+            (777).to_bytes(4, "little", signed=True)
+
+    def test_committed_write_carries_its_aliases(self, program, journal):
+        manager = SessionManager(program, journal=journal,
+                                 commit_writes=True)
+        writer = manager.open("w")
+        assert drain(manager, writer, "y := 5, x[3] = y")[0] == "done"
+        kinds = [r["k"] for r in journaled(journal)]
+        assert kinds == ["sess_open", "write"]   # one record per query
+        assert alias_records(journal) == [("y", ("int", None, 5, "5"))]
 
     def test_truncated_write_rolls_back_unjournaled(self, program,
                                                     journal):
@@ -289,18 +342,18 @@ class TestExportResurrect:
         (entry,) = manager.export_state()
         assert entry["key"] == client.resume_key
         assert entry["limits"]["lines"] == 77
-        assert entry["aliases"] == ["t := x[0]"]
+        assert list(entry["aliases"]) == ["t"]
         assert "tok" in entry["idem"]
 
         fresh = SessionManager(workloads.big_array(50))
         revived = fresh.resurrect(entry)
         assert revived.resume_key == client.resume_key
         assert revived.session.governor.limits["lines"] == 77
-        assert revived.alias_texts == ["t := x[0]"]
+        assert rendered(revived.session.aliases()["t"]) == \
+            rendered(client.session.aliases()["t"])
+        assert drain(fresh, revived, "t")[1] == drain(manager, client,
+                                                      "t")[1]
         assert revived.idem_lookup("tok")["outcome"]["ev"] == "done"
-        # Replay runs unaudited until finish_resurrect.
-        assert revived.session.qlog is None
-        assert revived.session.recorder is None
 
     def test_export_covers_parked_skips_poisoned(self, program):
         manager = SessionManager(program)
@@ -317,13 +370,13 @@ class TestExportResurrect:
         revived = manager.resurrect({
             "key": "k", "client_id": "c",
             "limits": {"no_such_limit": 5, "lines": 9},
-            "aliases": [], "idem": {}})
+            "aliases": {}, "idem": {}})
         assert revived.session.governor.limits["lines"] == 9
 
     def test_adopt_parked_is_resumable_and_silent(self, program, journal):
         manager = SessionManager(program, journal=journal)
         entry = {"key": "key-1", "client_id": "old", "limits": {},
-                 "aliases": [], "idem": {}}
+                 "aliases": {}, "idem": {}}
         revived = manager.resurrect(entry)
         before = len(journaled(journal))
         assert manager.adopt_parked(revived, ttl=60.0)
@@ -331,13 +384,51 @@ class TestExportResurrect:
         resumed = manager.resume("key-1", "new")
         assert resumed is revived
 
-    def test_finish_resurrect_reattaches_audit(self, program):
+    def test_resurrect_attaches_audit(self, program):
+        # Recovery runs no query, so a resurrected session is audited
+        # from the start like any other.
         from repro.obs.qlog import QueryLog
         qlog = QueryLog(io.StringIO())
         manager = SessionManager(program, qlog=qlog)
         revived = manager.resurrect({"key": "k", "client_id": "c",
-                                     "limits": {}, "aliases": [],
+                                     "limits": {}, "aliases": {},
                                      "idem": {}})
-        assert revived.session.qlog is None
-        manager.finish_resurrect(revived)
         assert revived.session.qlog is qlog
+
+
+class TestOneSnapshotPerWrite:
+    """The lease's snapshot is a served write's only one; the REPL,
+    which has no lease, keeps the session's own."""
+
+    FAULTING = "x[0] = x[200000000]"
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counted = {"take": 0, "restore": 0}
+        for name in counted:
+            def counting(*args, _name=name,
+                         _original=getattr(snapshot, name)):
+                counted[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(snapshot, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("commit", [False, True])
+    @pytest.mark.parametrize("text, outcome", [("x[3]++", "done"),
+                                               (FAULTING, "faulted")])
+    def test_served_write(self, program, journal, counts, commit, text,
+                          outcome):
+        manager = SessionManager(program, journal=journal,
+                                 commit_writes=commit)
+        client = manager.open("c1")
+        assert drain(manager, client, text)[0] == outcome
+        kept = commit and outcome == "done"
+        assert counts == {"take": 1, "restore": 0 if kept else 1}
+
+    @pytest.mark.parametrize("text, restores", [("x[3]++", 0),
+                                                (FAULTING, 1)])
+    def test_repl_write(self, program, counts, text, restores):
+        from repro.core.session import DuelSession
+        from repro.target.interface import SimulatorBackend
+        DuelSession(SimulatorBackend(program)).duel(text, out=io.StringIO())
+        assert counts == {"take": 1, "restore": restores}

@@ -9,7 +9,8 @@ import zlib
 import pytest
 
 from repro.serve.journal import (CHECKPOINT_MAGIC, FsyncPolicy, Journal,
-                                 JournalError, StateStore, fold_sessions)
+                                 JournalError, StateStore, fold_sessions,
+                                 pack)
 
 
 @pytest.fixture
@@ -276,6 +277,14 @@ class TestStateStore:
         store = StateStore(str(tmp_path / "state"), fsync="off")
         assert store.load_checkpoint() is None
 
+    def test_format_1_checkpoint_refused_not_skipped(self, tmp_path):
+        store = StateStore(str(tmp_path / "state"), fsync="off")
+        path = os.path.join(store.checkpoint_dir, "ckpt-000000000004.snap")
+        with open(path, "wb") as handle:
+            handle.write(b"DUELCKPT1\n" + b"\0" * 16)
+        with pytest.raises(JournalError, match="format 1"):
+            store.load_checkpoint()
+
     def test_unusable_dir_raises_journal_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("i am a file")
@@ -295,7 +304,7 @@ class TestFoldSessions:
              "limits": {"steps": 100}},
             {"k": "sess_limit", "key": "A", "name": "deadline_ms",
              "value": 50},
-            {"k": "sess_alias", "key": "A", "text": "t := x[0]"},
+            {"k": "sess_alias", "key": "A", "aliases": pack({"t": 1})},
             {"k": "idem", "key": "A", "token": "tok",
              "result": {"outcome": {"ev": "done"}}},
         )
@@ -303,46 +312,55 @@ class TestFoldSessions:
         entry = state["A"]
         assert entry["client_id"] == "c1"
         assert entry["limits"] == {"steps": 100, "deadline_ms": 50}
-        assert entry["aliases"] == ["t := x[0]"]
+        assert entry["aliases"] == {"t": 1}
         assert entry["idem"]["tok"]["outcome"]["ev"] == "done"
-        assert entry["closed"] is False
 
-    def test_close_marks_not_drops(self):
+    def test_later_binding_wins(self):
+        state, _ = self.fold(
+            {"k": "sess_open", "key": "A", "client": "c1"},
+            {"k": "sess_alias", "key": "A", "aliases": pack({"t": 1})},
+            {"k": "write", "key": "A", "text": "label", "delta": "",
+             "aliases": pack({"t": 2, "u": 3})},
+        )
+        assert state["A"]["aliases"] == {"t": 2, "u": 3}
+
+    def test_close_drops_the_session(self):
         state, _ = self.fold(
             {"k": "sess_open", "key": "A", "client": "c1"},
             {"k": "sess_close", "key": "A"},
+            {"k": "sess_alias", "key": "A", "aliases": pack({"t": 1})},
         )
-        assert state["A"]["closed"] is True
+        assert state == {}
 
     def test_writes_kept_in_order(self):
         _, writes = self.fold(
             {"k": "sess_open", "key": "A", "client": "c1"},
-            {"k": "write", "key": "A", "text": "x[0] = 1",
-             "outcome": "done"},
-            {"k": "write", "key": "A", "text": "x[0] = 2",
-             "outcome": "done"},
+            {"k": "write", "key": "A", "text": "x[0] = 1", "delta": "d1"},
+            {"k": "sess_close", "key": "A"},
+            {"k": "write", "key": "A", "text": "x[0] = 2", "delta": "d2"},
         )
-        assert [w["text"] for w in writes] == ["x[0] = 1", "x[0] = 2"]
+        # A closed session's writes are target state: they still apply.
+        assert [w["delta"] for w in writes] == ["d1", "d2"]
 
     def test_idempotent_double_application(self):
         records = [
             {"k": "sess_open", "key": "A", "client": "c1",
              "limits": {"steps": 9}},
-            {"k": "sess_alias", "key": "A", "text": "t := x[0]"},
+            {"k": "sess_alias", "key": "A", "aliases": pack({"t": 1})},
             {"k": "idem", "key": "A", "token": "tok", "result": {}},
         ]
         state, _ = self.fold(*records)
         # The same records applied again (checkpoint double coverage)
         # leave identical state.
         again, _ = fold_sessions(state, list(enumerate(records, 1)))
-        assert again["A"]["aliases"] == ["t := x[0]"]
+        assert again["A"]["aliases"] == {"t": 1}
         assert again["A"]["limits"] == {"steps": 9}
 
     def test_records_for_unknown_sessions_ignored(self):
         state, writes = self.fold(
             {"k": "sess_limit", "key": "ghost", "name": "steps",
              "value": 1},
-            {"k": "sess_alias", "key": "ghost", "text": "t := 1"},
+            {"k": "sess_alias", "key": "ghost", "aliases": pack({"t": 1})},
             {"k": "idem", "key": "ghost", "token": "t", "result": {}},
             {"k": "sess_close", "key": "ghost"},
         )
@@ -355,3 +373,11 @@ class TestFoldSessions:
             {"k": "sess_resume", "key": "A", "client": "c2"},
         )
         assert state["A"]["client_id"] == "c2"
+
+    @pytest.mark.parametrize("record", [
+        {"k": "write", "key": "A", "text": "x[0] = 1", "outcome": "done"},
+        {"k": "sess_alias", "key": "A", "text": "t := x[0]"}])
+    def test_format_1_records_refused(self, record):
+        with pytest.raises(JournalError, match=r"lsn 2 .*format 1"):
+            self.fold({"k": "sess_open", "key": "A", "client": "c1"},
+                      record)
