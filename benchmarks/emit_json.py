@@ -21,9 +21,7 @@ the committed artifact is the **aggregate**: ``--aggregate`` runs
 and embeds each suite's full report under ``"suites"``, so one file
 per PR carries the whole perf story and a missing suite is a loud
 KeyError in CI rather than a quietly absent file.  PR 9 adds the
-``access`` suite (the memory-observatory off-overhead gate); PR 10
-adds ``pagecache`` (read-reduction, off-path cost, and coherence
-gates for the target page cache).
+``access`` suite (the memory-observatory off-overhead gate).
 
 Usage::
 
@@ -175,12 +173,6 @@ SUITES = {
     "access": ("bench_access",
                ["--queries", "60", "--max-access-overhead", "1.05"],
                ["--queries", "6"]),
-    "pagecache": ("bench_pagecache",
-                  ["--queries", "40", "--writes", "50",
-                   "--min-read-reduction", "5",
-                   "--max-off-overhead", "1.05"],
-                  ["--queries", "4", "--writes", "5",
-                   "--min-read-reduction", "5"]),
 }
 
 
@@ -250,9 +242,8 @@ def main(argv=None) -> int:
                         help="timed runs per workload (default 11)")
     parser.add_argument("--aggregate", action="store_true",
                         help="run every bench suite (core + serve + "
-                             "chaos + journal + obs-serve + access + "
-                             "pagecache) and write one combined "
-                             "artifact")
+                             "chaos + journal + obs-serve + access) "
+                             "and write one combined artifact")
     parser.add_argument("--quick", action="store_true",
                         help="with --aggregate: minimal run counts, "
                              "for smoke-testing the harness itself")

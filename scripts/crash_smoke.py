@@ -128,11 +128,12 @@ def reader_loop(client, stop, record):
 def check_checkpoint_epoch(state_dir):
     """The durable checkpoint must carry the target's memory epoch.
 
-    Page caches (PR 10) invalidate on epoch movement; a recovered
-    server restores the checkpoint snapshot and advances past its
-    recorded epoch, so no session can ever serve pre-crash cached
-    pages.  This guards the serialization side: the ``DUELSNAP1``
-    payload inside the newest checkpoint actually records an epoch.
+    The epoch tells anything keyed on it that target memory moved; a
+    recovered server restores the checkpoint snapshot and advances
+    past its recorded epoch, so an epoch seen before the crash never
+    matches the recovered memory.  This guards the serialization
+    side: the ``DUELSNAP1`` payload inside the newest checkpoint
+    actually records an epoch.
     """
     import pickle
     import zlib

@@ -46,7 +46,6 @@ DUEL REPL commands:
   trace <expr>          same as explain
   accesses <expr>       run with the memory-access tracer; print the
                         stride/locality profile and prefetch advice
-  cache                 page-cache statistics (--page-cache demand)
   trace on|off          trace every sampled query (--trace-json
                         writes its events; --trace-sample N traces
                         1 in N)
@@ -162,9 +161,6 @@ def repl(session: DuelSession, stdin=None, out=None) -> int:
                 continue
             if line.split()[0] == "accesses":
                 _accesses_command(session, line, out)
-                continue
-            if line.split()[0] == "cache":
-                _cache_command(session, line, out)
                 continue
             if line.split()[0] == "qlog":
                 _qlog_command(session, line, out)
@@ -328,41 +324,12 @@ def _accesses_command(session: DuelSession, line: str, out) -> None:
                   + "\n")
         return
     for row in render_report(parts[1], profile,
-                             result.get("advisor") or [],
-                             cache=result.get("cache")):
+                             result.get("advisor") or []):
         out.write(row + "\n")
     if result["outcome"] != "done":
         extra = result.get("diagnostic") or result.get("error")
         if extra:
             out.write(extra + "\n")
-
-
-def _cache_command(session: DuelSession, line: str, out) -> None:
-    """``cache`` — the page cache's live counters and policy.
-
-    Shows the :class:`~repro.target.pagecache.PageCachingBackend`
-    statistics accumulated since startup: hit rate, physical traffic,
-    residency and the coherence epoch.  With the cache off (the
-    default) it says how to turn it on.
-    """
-    if len(line.split()) != 1:
-        out.write("usage: cache\n")
-        return
-    cache = getattr(session.evaluator, "page_cache", None)
-    if cache is None:
-        out.write("page cache off (start with --page-cache demand)\n")
-        return
-    stats = cache.stats()
-    out.write(f"page cache: {stats['mode']}, {stats['page_size']}B x "
-              f"{stats['capacity']} pages "
-              f"({stats['resident_pages']} resident)\n")
-    out.write(f"  {stats['cache_hits']} hits / "
-              f"{stats['cache_misses']} misses "
-              f"({stats['hit_rate'] * 100:.1f}%), "
-              f"{stats['cache_evictions']} evictions, "
-              f"{stats['cache_flushes']} epoch flushes\n")
-    out.write(f"  physical: {stats['physical_reads']} reads, "
-              f"{stats['physical_bytes']}B; epoch {stats['epoch']}\n")
 
 
 def _dump_command(session: DuelSession, line: str, out) -> None:
@@ -475,19 +442,6 @@ def main(argv: Optional[Sequence[str]] = None,
     parser.add_argument("--query-log", metavar="FILE", default=None,
                         help="write one JSONL lifecycle record per "
                              "query (received/parsed/terminal) to FILE")
-    parser.add_argument("--page-cache", default="off",
-                        choices=("off", "demand"), metavar="MODE",
-                        help="page-granular target read cache: 'off' "
-                             "(default; reads pass straight through) "
-                             "or 'demand' (cache pages as they are "
-                             "touched)")
-    parser.add_argument("--page-size", type=int, default=None,
-                        metavar="BYTES",
-                        help="cache page size in bytes, a power of "
-                             "two >= 8 (default 256)")
-    parser.add_argument("--page-cache-pages", type=int, default=None,
-                        metavar="N",
-                        help="cache capacity in pages (default 64)")
     parser.add_argument("--access-trace", metavar="FILE", default=None,
                         help="profile sampled queries' target memory "
                              "accesses (strides, page locality, scan "
@@ -629,24 +583,11 @@ def main(argv: Optional[Sequence[str]] = None,
         limit_kwargs["deadline_ms"] = ns.deadline_ms
     if ns.max_lines is not None:
         limit_kwargs["max_lines"] = ns.max_lines
-    from repro.target.pagecache import parse_policy
-    cache_kwargs = {}
-    if ns.page_size is not None:
-        cache_kwargs["page_size"] = ns.page_size
-    if ns.page_cache_pages is not None:
-        cache_kwargs["capacity"] = ns.page_cache_pages
-    try:
-        page_cache = parse_policy(ns.page_cache, **cache_kwargs)
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 1
-    ns.page_cache_policy = page_cache
     if ns.serve:
         from repro.serve.server import run_server
         return run_server(ns, program, limit_kwargs, out)
     session = DuelSession(SimulatorBackend(program),
-                          symbolic=not ns.no_symbolic,
-                          page_cache=page_cache, **limit_kwargs)
+                          symbolic=not ns.no_symbolic, **limit_kwargs)
     from repro.obs.statements import StatementStats
     session.statements = StatementStats()
     if ns.trace_sample > 1:

@@ -182,13 +182,10 @@ class Evaluator:
         # the interface boundary, whatever engine drives the AST; the
         # tracing wrapper outermost counts reads/writes/calls and hands
         # them (with addresses, for the memory observatory) to the
-        # active tracer.
-        self.governed_backend = GovernedBackend(backend, self.governor)
-        self.backend = TracingBackend(self.governed_backend)
-        #: The active PageCachingBackend, or None (cache off: the hop
-        #: is left out of the chain entirely).
-        self.page_cache = None
-        self.link_chain()
+        # active tracer.  The tracing hop binds its reads, writes and
+        # ``is_mapped`` straight to the target's when it is built.
+        self.backend = TracingBackend(GovernedBackend(backend,
+                                                      self.governor))
         #: The active QueryTracer, or None (tracing off: the only cost
         #: is the predicate check in :meth:`eval`).
         self.tracer = None
@@ -257,13 +254,9 @@ class Evaluator:
 
         Cached string-literal addresses point into allocations that a
         snapshot restore has undone; keeping them would alias whatever
-        the target allocates there next.  The page cache would catch
-        the restore by itself on the next read (the memory epoch
-        moved), but the explicit flush keeps the contract obvious.
+        the target allocates there next.
         """
         self._string_cache.clear()
-        if self.page_cache is not None:
-            self.page_cache.invalidate_all()
 
     def set_tracer(self, tracer) -> None:
         """Attach (or detach, with None) a per-query tracer.
@@ -274,56 +267,6 @@ class Evaluator:
         """
         self.tracer = tracer
         self.backend.tracer = tracer
-
-    def set_page_cache(self, policy) -> None:
-        """Install (or remove, with None) the target page cache.
-
-        ``policy`` is a :class:`~repro.target.pagecache.PageCachePolicy`
-        (or None).  The cache slots *between* the tracing wrapper and
-        the governed backend — the tracer keeps seeing every logical
-        read (the engine-parity oracle and scan classifier stay
-        cache-independent) while the cache turns runs of small reads
-        into bulk inner ones.  Requires a backend that exposes
-        the target's memory (for the coherence epoch); without one
-        the cache is refused and the chain runs uncached.
-        """
-        from repro.target.pagecache import PageCachingBackend
-
-        governed = self.governed_backend
-        self.page_cache = None
-        if policy is not None:
-            memory = getattr(getattr(governed, "program", None),
-                             "memory", None)
-            if memory is not None:
-                self.page_cache = PageCachingBackend(
-                    governed, policy, lambda: memory.epoch)
-        self.link_chain()
-
-    def link_chain(self) -> None:
-        """Lay out the backend chain and bind each hop's next read/write.
-
-        The active hops, outermost first: tracing; page cache, when a
-        policy is set; governed.  Each hop's bound
-        ``_inner_get``/``_inner_put`` are pointed at the next active
-        hop once, here, so a hop that is off costs the read/write hot
-        path nothing: with no cache the tracing hop calls the target's
-        own bound ``get_target_bytes`` (resolved through the governed
-        hop's delegation at bind time).  ``is_mapped``, asked on every
-        index bounds check and ``-->`` step and metered by no hop, is
-        bound on every hop straight to the target's.  Rebinding costs
-        a few attribute stores, paid only when the configuration
-        changes.
-        """
-        hops = [self.backend]
-        if self.page_cache is not None:
-            hops.append(self.page_cache)
-        hops.append(self.governed_backend)
-        for hop, below in zip(hops, hops[1:]):
-            hop._inner_get = below.get_target_bytes
-            hop._inner_put = below.put_target_bytes
-        is_mapped = self.governed_backend.inner.is_mapped
-        for hop in hops:
-            hop.is_mapped = is_mapped
 
     def eval(self, node: N.Node) -> Iterator[DuelValue]:
         """All values of ``node``, lazily (the paper's ``eval``)."""

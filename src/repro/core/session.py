@@ -220,8 +220,7 @@ class DuelSession:
                  max_steps: int = 10_000_000, cycle_mode: str = "stop",
                  deadline_ms=_KEEP_DEFAULT,
                  max_lines=_KEEP_DEFAULT,
-                 metrics: Optional[MetricsRegistry] = None,
-                 page_cache=None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.backend = backend
         self.options = EvalOptions(symbolic=symbolic, max_steps=max_steps,
                                    cycle_mode=cycle_mode,
@@ -230,16 +229,6 @@ class DuelSession:
         #: The per-query resource governor (limits, counters, ^C token).
         self.governor = self.options.governor
         self.evaluator = Evaluator(backend, self.options)
-        #: Target page-cache policy (``--page-cache``): None/'off'
-        #: leaves the chain untouched, 'demand' (or a
-        #: :class:`~repro.target.pagecache.PageCachePolicy`) splices
-        #: a :class:`~repro.target.pagecache.PageCachingBackend` in.
-        if isinstance(page_cache, str):
-            from repro.target.pagecache import parse_policy
-            page_cache = parse_policy(page_cache)
-        self.page_cache_policy = page_cache
-        if page_cache is not None:
-            self.evaluator.set_page_cache(page_cache)
         self.parser = DuelParser(is_type_name=self.evaluator.is_type_name)
         self.formatter = ValueFormatter(self.evaluator.ops,
                                         float_format=float_format)
@@ -719,55 +708,16 @@ class DuelSession:
                 result[key] = info[key]
         if record.fingerprint is not None:
             result["fingerprint"] = record.fingerprint.hash
-        if self.evaluator.page_cache is not None:
-            result["cache"] = self.cache_report(record)
         return result
-
-    def cache_report(self, record: QueryRecord) -> dict:
-        """Measured page-cache behaviour vs. the advisor's projection.
-
-        The closing of PR 9's loop: the advisor *projected* hit rates
-        by replaying traces through a simulated LRU; with the real
-        cache attached this reports what ``record``'s query actually
-        saw at the configured (page size, capacity) point next to
-        what the simulation projects for the same recorded trace — a
-        live calibration check for the advisor's model.  Empty dict
-        when no cache is attached.
-        """
-        cache = self.evaluator.page_cache
-        if cache is None:
-            return {}
-        stats = record.stats
-        report = {
-            "mode": "demand",
-            "page_size": cache.policy.page_size,
-            "capacity": cache.policy.capacity,
-            "hits": stats.get("cache_hits", 0),
-            "misses": stats.get("cache_misses", 0),
-            "physical_reads": stats.get("physical_reads", 0),
-            "logical_reads": stats.get("reads", 0),
-            "measured_hit_rate": stats.get("cache_hit_rate", 0.0),
-        }
-        if record.access_records:
-            from repro.obs.access import simulate_page_cache
-            projection = simulate_page_cache(record.access_records,
-                                             cache.policy.page_size,
-                                             cache.policy.capacity)
-            report["projected_hit_rate"] = projection["hit_rate"]
-            report["projection_gap"] = round(
-                report["measured_hit_rate"] - projection["hit_rate"], 4)
-        return report
 
     def _stats_baseline(self) -> tuple:
         """Cumulative counters sampled at query start (deltas later)."""
         backend = self.evaluator.backend
         evaluator = self.evaluator
         self._format_ns = 0
-        cache = evaluator.page_cache
         return (backend.reads, backend.writes, backend.calls,
                 backend.allocs, evaluator.scope.lookup_count,
-                evaluator.string_cache_hits, evaluator.string_cache_misses,
-                cache.counters() if cache is not None else None)
+                evaluator.string_cache_hits, evaluator.string_cache_misses)
 
     def _finish_query(self, record: QueryRecord, tracer,
                       baseline: tuple, parse_ns: int,
@@ -775,7 +725,7 @@ class DuelSession:
         """Freeze the clock, detach the tracer, complete ``record``.
 
         Fills in the outcome, the governor counters plus the query's
-        target-traffic, lookup and page-cache deltas, the phase split
+        target-traffic and lookup deltas, the phase split
         and the access profile — so identical back-to-back queries
         report identical per-query stats (wall time aside).
         """
@@ -790,25 +740,14 @@ class DuelSession:
                 record.access = tracer.access_profile(
                     self.access_page_size)
         backend = evaluator.backend
-        (reads0, writes0, calls0, allocs0, lookups0, hits0, misses0,
-         cache0) = baseline
+        reads0, writes0, calls0, allocs0, lookups0, hits0, misses0 = \
+            baseline
         stats = self.governor.stats()
         stats["reads"] = backend.reads - reads0
         stats["writes"] = backend.writes - writes0
         stats["calls"] = backend.calls - calls0
         stats["allocs"] = backend.allocs - allocs0
         stats["lookups"] = evaluator.scope.lookup_count - lookups0
-        cache = evaluator.page_cache
-        if cache is not None and cache0 is not None:
-            # Logical reads (``reads`` above, counted over the cache)
-            # and physical inner reads diverge by design; both travel
-            # so ``reads_per_value`` stays honest downstream.
-            now = cache.counters()
-            stats.update({name: now[name] - cache0[name]
-                          for name in cache0})
-            looked = stats["cache_hits"] + stats["cache_misses"]
-            stats["cache_hit_rate"] = round(
-                stats["cache_hits"] / looked, 4) if looked else 0.0
         record.stats = stats
         format_ns = self._format_ns
         record.phases = {"parse": parse_ns / 1e6,
@@ -953,10 +892,11 @@ def _has_side_effects(node: N.Node) -> bool:
     """True when evaluating the AST can mutate the target.
 
     Assignments and increments write memory; calls run target code;
-    declarations allocate target scratch space.
+    declarations and string literals allocate target scratch space.
     """
     for n in N.walk(node):
-        if isinstance(n, (N.Assign, N.IncDec, N.Call, N.Declaration)):
+        if isinstance(n, (N.Assign, N.IncDec, N.Call, N.Declaration,
+                          N.StringLiteral)):
             return True
     return False
 

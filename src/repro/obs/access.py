@@ -25,9 +25,8 @@ node being pulled.  This module turns that raw stream into answers:
 * :func:`simulate_page_cache` / :func:`advise` — the **prefetch
   advisor**: replay the recorded trace through a simulated LRU page
   cache, sweeping page size × capacity, and report the projected hit
-  rate each configuration would have had.  A demand page cache
-  (:mod:`repro.target.pagecache`) is that LRU, so the ``accesses``
-  report sets its measured hit rate beside the projection;
+  rate each configuration would have had — what batching reads into
+  pages would save over a channel where each read is a round trip;
 * :class:`AccessLog` — the ``--access-trace`` JSONL export.
 
 Hot-path discipline matches every prior observability layer: a query
@@ -263,17 +262,8 @@ def advise(records: list[tuple],
 
 
 def render_report(text: str, profile: dict,
-                  advice: list[dict],
-                  cache: Optional[dict] = None) -> list[str]:
-    """Human-readable lines for the REPL ``accesses`` command.
-
-    ``cache`` (when a real page cache is attached to the session) is
-    the :meth:`~repro.core.session.DuelSession.cache_report` dict:
-    the measured hit rate at the configured (page size, capacity)
-    point rendered next to the advisor's projection for the same
-    recorded trace, so operators can see whether the model that
-    recommended the configuration still predicts the cache they got.
-    """
+                  advice: list[dict]) -> list[str]:
+    """Human-readable lines for the REPL ``accesses`` command."""
     lines = [f"accesses: {text}"]
     lines.append(
         f"  {profile['accesses']} accesses "
@@ -316,20 +306,6 @@ def render_report(text: str, profile: dict,
             f"{best['hit_rate'] * 100:.1f}% of "
             f"{profile['accesses']} accesses served from cache "
             f"({best['misses']} bulk fetches)")
-    if cache:
-        lines.append(
-            f"  page cache ({cache['mode']}, {cache['page_size']}B × "
-            f"{cache['capacity']} pages): "
-            f"{cache['measured_hit_rate'] * 100:.1f}% hits measured, "
-            f"{cache['logical_reads']} logical → "
-            f"{cache['physical_reads']} physical reads")
-        projected = cache.get("projected_hit_rate")
-        if projected is not None:
-            gap = cache.get("projection_gap", 0.0)
-            lines.append(
-                f"  advisor projection at this point: "
-                f"{projected * 100:.1f}% hits "
-                f"(measured {gap * 100:+.1f}pp vs projected)")
     return lines
 
 

@@ -289,12 +289,6 @@ class MetricsRegistry:
         hits, misses = record.string_cache
         self.counter("string_cache_hits").inc(hits)
         self.counter("string_cache_misses").inc(misses)
-        if "physical_reads" in stats:        # the page cache is on
-            for name in ("cache_hits", "cache_misses", "cache_evictions",
-                         "physical_reads"):
-                self.counter(name).inc(stats[name])
-            self.gauge("cache_hit_rate").set(
-                round(self.cache_rate("cache"), 4))
 
     def cache_rate(self, name: str) -> float:
         """Hit rate of a ``<name>_hits`` / ``<name>_misses`` pair."""

@@ -38,24 +38,20 @@ from repro.obs.metrics import DEFAULT_MS_BUCKETS, Histogram
 PHASES = ("queue", "lock", "parse", "eval", "format", "stream")
 
 #: Snapshot orderings the ``statements`` op accepts.  ``reads`` and
-#: ``reads_per_value`` rank I/O-heavy shapes by *logical* traffic (the
-#: memory observatory's view — cache-independent, so ``by reads``
-#: means the same thing whatever the cache policy); ``physical_reads``
-#: ranks by what actually crossed the target interface after the page
-#: cache.  Keep :data:`repro.serve.protocol.STATEMENT_ORDERINGS` in
-#: sync.
+#: ``reads_per_value`` rank I/O-heavy shapes by the target reads they
+#: issued (the memory observatory's view).  Keep
+#: :data:`repro.serve.protocol.STATEMENT_ORDERINGS` in sync.
 ORDERINGS = ("total_ms", "calls", "mean_ms", "max_ms", "reads",
-             "reads_per_value", "physical_reads")
+             "reads_per_value")
 
 
 class StatementEntry:
     """Aggregates for one statement fingerprint (lock held by table)."""
 
     __slots__ = ("fingerprint", "text", "calls", "values", "reads",
-                 "physical_reads", "cached_calls", "cache_hits",
-                 "cache_misses", "writes", "truncations", "faults",
-                 "wall", "phases", "seq", "profiles", "acc_accesses",
-                 "acc_pages", "acc_reread", "patterns")
+                 "writes", "truncations", "faults", "wall", "phases",
+                 "seq", "profiles", "acc_accesses", "acc_pages",
+                 "acc_reread", "patterns")
 
     def __init__(self, fingerprint: str, text: str):
         self.fingerprint = fingerprint
@@ -63,15 +59,6 @@ class StatementEntry:
         self.calls = 0
         self.values = 0
         self.reads = 0
-        #: Reads that actually crossed the target interface.  Without
-        #: a page cache this equals ``reads``; with one it is the
-        #: bulk-read count — both aggregate so ``by reads`` (logical)
-        #: keeps its meaning and ``by physical_reads`` shows what the
-        #: cache saved.
-        self.physical_reads = 0
-        self.cached_calls = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.writes = 0
         self.truncations = 0
         self.faults = 0
@@ -100,10 +87,6 @@ class StatementEntry:
             "calls": self.calls,
             "values": self.values,
             "reads": self.reads,
-            "physical_reads": self.physical_reads,
-            "cached_calls": self.cached_calls,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "writes": self.writes,
             "truncations": self.truncations,
             "faults": self.faults,
@@ -172,18 +155,7 @@ class StatementStats:
             entry.calls += 1
             entry.values += values
             if stats:
-                reads = stats.get("reads", 0)
-                entry.reads += reads
-                # Uncached queries cross the interface once per
-                # logical read, so physical == logical keeps the
-                # column truthful whatever mix of cached and uncached
-                # sessions feeds one table.
-                entry.physical_reads += stats.get("physical_reads",
-                                                  reads)
-                if "physical_reads" in stats:
-                    entry.cached_calls += 1
-                    entry.cache_hits += stats.get("cache_hits", 0)
-                    entry.cache_misses += stats.get("cache_misses", 0)
+                entry.reads += stats.get("reads", 0)
                 entry.writes += stats.get("writes", 0)
             if outcome == "truncated":
                 entry.truncations += 1
@@ -273,12 +245,6 @@ class StatementStats:
             # 1234 reads for 0 values is the worst ratio there is.
             row["reads_per_value"] = round(row["reads"] / row["values"], 2) \
                 if row["values"] else float(row["reads"])
-            row["physical_reads_per_value"] = round(
-                row["physical_reads"] / row["values"], 2) \
-                if row["values"] else float(row["physical_reads"])
-            looked = row["cache_hits"] + row["cache_misses"]
-            row["cache_hit_rate"] = round(
-                row["cache_hits"] / looked, 4) if looked else 0.0
         rows.sort(key=lambda r: (r[by], r["calls"], r["fingerprint"]),
                   reverse=True)
         if limit is not None:
@@ -369,8 +335,6 @@ class StatementStats:
         rows = self.snapshot(by="reads", limit=limit)
         base = prefix + sanitize("target")
         lines = [f"# TYPE {base}_reads_per_value gauge",
-                 f"# TYPE {base}_physical_reads_per_value gauge",
-                 f"# TYPE {base}_cache_hit_rate gauge",
                  f"# TYPE {base}_page_locality gauge",
                  f"# TYPE {base}_reread_ratio gauge",
                  f"# TYPE {base}_pattern_total counter"]
@@ -380,13 +344,6 @@ class StatementStats:
             key = f'{{fingerprint="{fp}"}}'
             lines.append(
                 f"{base}_reads_per_value{key} {row['reads_per_value']:g}")
-            lines.append(
-                f"{base}_physical_reads_per_value{key} "
-                f"{row['physical_reads_per_value']:g}")
-            if row["cached_calls"]:
-                lines.append(
-                    f"{base}_cache_hit_rate{key} "
-                    f"{row['cache_hit_rate']:g}")
             if not row["profiles"]:
                 continue
             profiles_total += row["profiles"]
@@ -421,7 +378,7 @@ def describe(rows: list[dict], state: Optional[dict] = None) -> list[str]:
                      f"{state['recorded']} recorded)")
     header = (f"{'calls':>7} {'total ms':>10} {'mean ms':>9} "
               f"{'p95 ms':>9} {'values':>8} {'rd/val':>8} "
-              f"{'phys/val':>9} {'trunc':>6} {'fault':>6}  shape")
+              f"{'trunc':>6} {'fault':>6}  shape")
     lines.append(header)
     for row in rows:
         wall = row["wall_ms"]
@@ -430,14 +387,10 @@ def describe(rows: list[dict], state: Optional[dict] = None) -> list[str]:
         if rpv is None:
             rpv = row.get("reads", 0) / values if values \
                 else float(row.get("reads", 0))
-        ppv = row.get("physical_reads_per_value")
-        if ppv is None:
-            physical = row.get("physical_reads", row.get("reads", 0))
-            ppv = physical / values if values else float(physical)
         lines.append(
             f"{row['calls']:>7} {wall['sum']:>10.2f} "
             f"{wall['mean']:>9.3f} {wall['p95']:>9.3f} "
-            f"{row['values']:>8} {rpv:>8.1f} {ppv:>9.1f} "
+            f"{row['values']:>8} {rpv:>8.1f} "
             f"{row['truncations']:>6} "
             f"{row['faults']:>6}  {row['text']}")
     return lines

@@ -16,16 +16,19 @@ acknowledged to any client:
     query, each value a pickled :class:`~repro.core.values.DuelValue`);
 ``idem``
     a completed idempotency-cache entry (token plus the cached
-    terminal result), so a write retried *across a server restart*
-    is still answered from the cache, never executed twice;
+    terminal result) of a query that committed no write, so a query
+    retried *across a server restart* is still answered from the
+    cache, never executed twice;
 ``sess_park`` / ``sess_resume`` / ``sess_close``
     lifecycle transitions (``sess_close`` is the tombstone: closed
     and expired sessions are not resurrected);
 ``write``
     one *committed* side-effecting query's target
-    :func:`~repro.target.snapshot.delta` and the aliases it bound,
-    appended while the target write lock is still held, so journal
-    order is exactly target apply order (``text`` is a label only).
+    :func:`~repro.target.snapshot.delta`, the aliases it bound and,
+    for an idempotent query, its token and cached result (no ``idem``
+    record follows), appended while the target write lock is still
+    held, so journal order is exactly target apply order (``text`` is
+    a label only).
 
 Each record is framed ``<u32 length><u32 crc32(payload)><payload>``
 with a JSON payload carrying its monotone ``lsn``.  Appends always
@@ -577,7 +580,8 @@ def fold_sessions(state: dict, records) -> tuple[dict, list[dict]]:
             entry["limits"].update(record["limits"])
         elif kind == "sess_limit":
             entry["limits"][record.get("name")] = record.get("value")
-        elif kind == "idem" and isinstance(record.get("result"), dict):
+        elif kind in ("idem", "write") \
+                and isinstance(record.get("result"), dict):
             entry["idem"][record.get("token")] = record["result"]
         elif kind == "sess_close":
             del state[key]

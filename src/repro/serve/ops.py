@@ -15,10 +15,6 @@ renders them as a single refreshing screen, ``top(1)``-style:
 * a memory-locality panel: the profiled query shapes from the
   statement table (scan pattern, reads per value, accesses per page,
   re-read ratio) plus the server's access-observatory counters;
-* a page-cache panel: the configured ``--page-cache`` policy, the
-  fleet-wide hit rate and logical-vs-physical read totals, and the
-  query shapes the cache is absorbing (per-shape hit rate and
-  physical reads per value);
 * the slow-query tail: the last queries that tripped ``--slow-ms``,
   each with its trace id so an operator can jump from the console to
   the exported span tree.
@@ -90,54 +86,6 @@ def locality_panel(health: dict, statements: dict,
     return lines
 
 
-def cache_panel(health: dict, statements: dict,
-                limit: int = 4) -> list[str]:
-    """The page-cache panel lines (pure function, test-friendly).
-
-    The health reply's ``cache`` section — policy, fleet-wide hit
-    rate, logical vs. physical read totals — plus the statement
-    shapes that ran cached, so an operator sees at a glance which
-    query shapes the cache is (or is not) absorbing.
-    """
-    cache = health.get("cache") or {}
-    policy = cache.get("policy", "off")
-    if policy == "off":
-        return ["page cache: off (start the server with "
-                "--page-cache demand)"]
-    lines = [f"page cache: {policy}, {cache.get('page_size', '?')}B × "
-             f"{cache.get('capacity', '?')} pages — "
-             f"{cache.get('hit_rate', 0.0) * 100:.1f}% hits "
-             f"({cache.get('hits', 0)} hits / "
-             f"{cache.get('misses', 0)} misses, "
-             f"{cache.get('evictions', 0)} evictions)"]
-    logical = cache.get("logical_reads", 0)
-    physical = cache.get("physical_reads", 0)
-    saved = (f", {logical / physical:.1f}x fewer reads"
-             if physical else "")
-    lines.append(f"  reads: {logical} logical → {physical} physical"
-                 f"{saved}")
-    rows = [row for row in statements.get("rows", [])
-            if row.get("cached_calls")]
-    if rows:
-        rows.sort(key=lambda r: r.get("physical_reads", 0), reverse=True)
-        lines.append(f"  {'hit rate':>9}{'rd/val':>8}{'phys/val':>10}"
-                     "  shape")
-        for row in rows[:limit]:
-            values = row.get("values", 0)
-            rpv = row.get("reads_per_value")
-            if rpv is None:
-                reads = row.get("reads", 0)
-                rpv = reads / values if values else float(reads)
-            ppv = row.get("physical_reads_per_value")
-            if ppv is None:
-                physical = row.get("physical_reads", 0)
-                ppv = physical / values if values else float(physical)
-            lines.append(
-                f"  {row.get('cache_hit_rate', 0.0) * 100:>8.1f}%"
-                f"{rpv:>8.1f}{ppv:>10.1f}  {row.get('text', '')}")
-    return lines
-
-
 def json_doc(health: dict, statements: dict, target: str,
              by: str = "total_ms") -> dict:
     """One machine-readable console frame (``--once --json``).
@@ -163,7 +111,6 @@ def json_doc(health: dict, statements: dict, target: str,
             "shapes": [row for row in statements.get("rows", [])
                        if row.get("profiles")],
         },
-        "cache": health.get("cache") or {},
     }
 
 
@@ -215,8 +162,6 @@ def render(health: dict, statements: dict, target: str,
         lines.append("statement statistics disabled on this server")
     lines.append("")
     lines.extend(locality_panel(health, statements))
-    lines.append("")
-    lines.extend(cache_panel(health, statements))
     slow = health.get("slow_queries") or []
     lines.append("")
     if slow:

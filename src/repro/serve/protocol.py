@@ -155,7 +155,7 @@ TRACE_ID_MAX = 128
 #: Snapshot orderings the ``statements`` op accepts (mirrors
 #: :data:`repro.obs.statements.ORDERINGS`).
 STATEMENT_ORDERINGS = ("total_ms", "calls", "mean_ms", "max_ms",
-                       "reads", "reads_per_value", "physical_reads")
+                       "reads", "reads_per_value")
 
 #: Malformed frames tolerated per connection before hanging up.
 MALFORMED_BUDGET = 3

@@ -229,6 +229,13 @@ class _Pending:
             if self.cancelled:
                 self.client.token.trip("client cancel")
 
+    def idem_result(self, outcome_frame: dict) -> dict:
+        """The cached result a retry of this query's token replays."""
+        return {"lines": self.idem_lines, "clipped": self.idem_clipped,
+                "outcome": {key: value
+                            for key, value in outcome_frame.items()
+                            if key != "id"}}
+
     def idem_note(self, line: str) -> None:
         """Record one output line for replay (bounded)."""
         if self.idem_clipped:
@@ -680,38 +687,7 @@ class DuelServer:
             detail["accesses"]["exported"] = self.accesslog.exported
             detail["accesses"]["sample"] = \
                 self.sampler.every if self.sampler is not None else 1
-        detail["cache"] = self._cache_detail()
         return detail
-
-    def _cache_detail(self) -> dict:
-        """Fleet-wide page-cache section of :meth:`health_detail`.
-
-        Per-session caches all fold their per-query deltas into the
-        shared metrics registry, so the server-level view is just the
-        registry's ``cache_*`` counters plus the configured policy.
-        """
-        policy = self.sessions.page_cache_policy()
-        section: dict = {
-            "policy": "demand" if policy is not None else "off"}
-        if policy is not None:
-            section["page_size"] = policy.page_size
-            section["capacity"] = policy.capacity
-        if self.metrics is not None:
-            hits = self.metrics.counter("cache_hits").value
-            misses = self.metrics.counter("cache_misses").value
-            looked = hits + misses
-            section.update({
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / looked, 4) if looked else 0.0,
-                "evictions":
-                    self.metrics.counter("cache_evictions").value,
-                "physical_reads":
-                    self.metrics.counter("physical_reads").value,
-                "logical_reads":
-                    self.metrics.counter("target_reads_total").value,
-            })
-        return section
 
     # -- the watchdog -------------------------------------------------------
     def _watchdog_loop(self) -> None:
@@ -1384,6 +1360,12 @@ class DuelServer:
             stream_ms += (time.monotonic() - t0) * 1000.0
             return delivered
 
+        def idem_entry() -> tuple:
+            # A committing write files its entry with its journal
+            # record; it asks after the terminal event, so the frame
+            # the retry replays is complete.
+            return pending.idem, pending.idem_result(outcome_frame)
+
         try:
             events = self.sessions.run(
                 pending.client, pending.text, on_begin=pending.recheck,
@@ -1398,12 +1380,17 @@ class DuelServer:
                 # Explicit profile and accesses requests are forced.
                 trace=pending.profile or self.tracelog is not None,
                 force=pending.profile or pending.access,
-                trace_id=pending.trace_id)
+                trace_id=pending.trace_id,
+                idem_entry=None if pending.idem is None else idem_entry)
             for kind, payload in events:
                 if kind != "value":
                     record = payload["record"]
                     outcome_frame = protocol.terminal(
                         request_id, kind, payload)
+                    outcome_frame["trace"] = pending.trace_id
+                    if trace is not None and record.fingerprint is not None:
+                        outcome_frame["fingerprint"] = \
+                            record.fingerprint.hash
                     continue
                 values += 1
                 if pending.access:
@@ -1501,7 +1488,6 @@ class DuelServer:
         fp = record.fingerprint if record is not None else None
         if fp is not None:
             trace.fingerprint = fp.hash
-            outcome_frame["fingerprint"] = fp.hash
         if record is not None and record.tracer is not None:
             trace.engine_spans = [span.as_dict()
                                   for span in record.tracer.spans]
@@ -1573,13 +1559,11 @@ class DuelServer:
         token = pending.idem
         if token is None:
             return
+        if isinstance(pending.client.idem_lookup(token), dict):
+            return          # filed with its committed ``write`` record
         if outcome_frame["ev"] in ("done", "truncated", "cancelled",
                                    "faulted"):
-            stored = {key: value for key, value in outcome_frame.items()
-                      if key != "id"}
-            result = {"lines": pending.idem_lines,
-                      "clipped": pending.idem_clipped,
-                      "outcome": stored}
+            result = pending.idem_result(outcome_frame)
             pending.client.idem_store(token, result)
             # Journal the completed entry so a token retried across a
             # server restart is still answered from the cache —
@@ -1645,9 +1629,6 @@ def run_server(ns, program, limit_kwargs: dict, out,
                 resources.callback(accesslog.close)
             session_kwargs = dict(limit_kwargs)
             session_kwargs["symbolic"] = not ns.no_symbolic
-            page_cache = getattr(ns, "page_cache_policy", None)
-            if page_cache is not None:
-                session_kwargs["page_cache"] = page_cache
             server = DuelServer(
                 program, host=ns.host, port=ns.port,
                 workers=ns.workers, queue_depth=ns.queue_depth,

@@ -357,21 +357,6 @@ class SessionManager:
                 setattr(session, name, sink)
         return session
 
-    def page_cache_policy(self):
-        """The page-cache policy sessions are built with (or None).
-
-        Normalized the same way :class:`~repro.core.session.
-        DuelSession` normalizes its ``page_cache`` argument, so the
-        health surface reports the policy actual sessions run under.
-        Factory-built sessions (tests) report None — the factory owns
-        their configuration.
-        """
-        policy = self._session_kwargs.get("page_cache")
-        if isinstance(policy, str):
-            from repro.target.pagecache import parse_policy
-            policy = parse_policy(policy)
-        return policy
-
     def _journal_append(self, kind: str, **fields) -> None:
         if self.journal is not None:
             self.journal.append(kind, **fields)
@@ -596,7 +581,7 @@ class SessionManager:
             return False
 
     def run(self, client: ClientSession, text: str, on_lock=None,
-            **drive) -> Iterator[tuple]:
+            idem_entry=None, **drive) -> Iterator[tuple]:
         """Drive one query with isolation; yields ``ievents`` events.
 
         Read-only queries share the target under the read lock;
@@ -613,8 +598,13 @@ class SessionManager:
         holds its locks (and, for writes, its isolation snapshot) with
         ``kind`` ``"read"``/``"write"`` and the milliseconds spent
         acquiring — the serve layer's ``session_lock`` span source.
-        ``drive`` passes through to :meth:`DuelSession.ievents`
-        (``on_begin``, ``access``, ``trace``, ``force``, ``trace_id``).
+        ``idem_entry()``, given for an idempotent query, returns its
+        token and the result a retry replays; a journaled committed
+        write asks for it once, files it in ``client``'s cache and
+        carries it in its ``write`` record, so no crash keeps the
+        write and loses the entry.  ``drive`` passes through to
+        :meth:`DuelSession.ievents` (``on_begin``, ``access``,
+        ``trace``, ``force``, ``trace_id``).
         """
         if client.poisoned:
             from repro.core.errors import DuelTargetError
@@ -661,17 +651,27 @@ class SessionManager:
                     # journaled.  A ``truncated`` write rolls back.
                     committed = lease.commit(
                         on_commit=None if journal is None else
-                        lambda: journal.append(
-                            "write", key=client.resume_key, text=text,
-                            delta=pack(snapshot.delta(self.program,
-                                                      lease.checkpoint)),
-                            **self._rebound(client)))
+                        lambda: self._journal_write(client, text, lease,
+                                                    idem_entry))
                 if not committed:
                     lease.settle()
                     rebound = self._rebound(client)
                     if rebound:
                         journal.append("sess_alias", key=client.resume_key,
                                        **rebound)
+
+    def _journal_write(self, client: ClientSession, text: str,
+                       lease: QueryLease, idem_entry) -> None:
+        """Append one committed write's record (write lock held)."""
+        fields = self._rebound(client)
+        if idem_entry is not None:
+            token, result = idem_entry()
+            client.idem_store(token, result)
+            fields.update(token=token, result=result)
+        self.journal.append(
+            "write", key=client.resume_key, text=text,
+            delta=pack(snapshot.delta(self.program, lease.checkpoint)),
+            **fields)
 
     def _rebound(self, client: ClientSession) -> dict:
         """The aliases ``client``'s last query bound, as record fields

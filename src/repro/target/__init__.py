@@ -20,7 +20,6 @@ from repro.target.interface import (
     SimulatorBackend,
 )
 from repro.target.memory import Memory, TargetMemoryFault
-from repro.target.pagecache import PageCachePolicy, PageCachingBackend
 from repro.target.program import TargetProgram
 from repro.target.symbols import Symbol, SymbolKind, SymbolTable
 
@@ -29,8 +28,6 @@ __all__ = [
     "FaultInjectingBackend",
     "GovernedBackend",
     "Memory",
-    "PageCachePolicy",
-    "PageCachingBackend",
     "SimulatorBackend",
     "Symbol",
     "SymbolKind",

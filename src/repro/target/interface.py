@@ -197,18 +197,19 @@ class GovernedBackend:
 class TracingBackend:
     """Counts target traffic and attributes it to the active trace span.
 
-    Sits outermost in the evaluator's wrapper chain (above the page
-    cache and :class:`GovernedBackend`), so every logical
-    read/write/call/alloc the query performs — whichever engine drives
-    it — bumps a process-wide counter here, and, when a
+    Sits outermost in the evaluator's wrapper chain (above
+    :class:`GovernedBackend`), so every read/write/call/alloc the
+    query performs — whichever engine drives it — bumps a
+    process-wide counter here, and, when a
     :class:`~repro.obs.trace.QueryTracer` is attached, lands on the
     AST node currently being pulled; an access-traced query's tracer
     also records each read's and write's address and size here (the
     memory-access observatory's one hook).  With tracing off the
-    per-read cost is one increment and one predicate check; the bound
-    inner methods are resolved ahead of time (at construction, and by
-    the evaluator's chain builder) to keep the ``__getattr__``
-    delegation hop off the read/write hot path.
+    per-read cost is one increment and one predicate check.  The
+    inner read and write, and ``is_mapped`` (asked on every index
+    bounds check and ``-->`` step, and metered by no hop), are bound
+    once, at construction, so the ``__getattr__`` delegation of this
+    hop and the governed one stays off the hot path.
     """
 
     def __init__(self, inner, tracer=None):
@@ -220,6 +221,7 @@ class TracingBackend:
         self.allocs = 0
         self._inner_get = inner.get_target_bytes
         self._inner_put = inner.put_target_bytes
+        self.is_mapped = inner.is_mapped
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

@@ -78,13 +78,11 @@ class Memory:
     ``epoch`` is a monotone counter bumped by every mutation of the
     address space — writes, fresh mappings, unmappings — and by
     snapshot restore (which rewrites region contents in place and then
-    advances past the snapshot's own epoch).  Read caches stacked in
-    front of the target key their contents on it: a cached page is
-    valid only while the epoch it was filled under is still current,
-    so any mutation anywhere — a query write, an injected unmap,
-    execution control inside the mini-C interpreter, a rollback —
-    invalidates stale bytes without the mutator knowing which caches
-    exist.
+    advances past the snapshot's own epoch).  Anything that keeps what
+    it learned from target memory across reads can key it on the
+    epoch: an unchanged epoch means no mutation anywhere — no query
+    write, injected unmap, mini-C execution or rollback — happened
+    since, without the mutator knowing who is keeping what.
     """
 
     def __init__(self) -> None:

@@ -38,9 +38,9 @@ class Snapshot:
     state: dict
     functions: dict
     #: Memory epoch at capture time.  ``restore`` never rewinds the
-    #: live counter to this value — it advances *past* it, so page
-    #: caches filled before the restore (or, after a crash, before
-    #: the checkpoint was taken) can never serve stale bytes.
+    #: live counter to this value — it advances *past* it, so state
+    #: keyed on an epoch seen before the restore (or, after a crash,
+    #: before the checkpoint was taken) never matches again.
     epoch: int = 0
 
     def serialize(self) -> bytes:
@@ -141,12 +141,12 @@ def restore(program: TargetProgram, snapshot: Snapshot) -> None:
                    for name, base, size, prefix in snapshot.regions],
          snapshot.state, snapshot.functions)
     # The epoch is monotone even across rewinds: a restore *changes*
-    # memory relative to what readers may have cached (and the in-place
+    # memory relative to what readers saw before it (and the in-place
     # rewrite above bumps nothing itself), so it must move the counter
     # forward — past both the live value and whatever the
     # snapshot recorded (the latter matters after crash recovery,
-    # where the rebuilt program's counter starts near zero but clients
-    # of the pre-crash server were at the checkpoint's epoch).
+    # where the rebuilt program's counter starts near zero but the
+    # pre-crash server had reached the checkpoint's epoch).
     memory = program.memory
     memory.epoch = max(memory.epoch, snapshot.epoch) + 1
 

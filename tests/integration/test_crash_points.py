@@ -17,6 +17,11 @@ and is disposed of with ``simulate_crash``) and compared:
   recorded at ``k``;
 * cut between the checkpoint's rename and the truncation of the
   journal segments it covers → the state the checkpoint froze.
+
+At every cut, each idempotent write whose ``write`` record made the
+cut is also retried over the wire, by a server started on the copy,
+in its resumed session: the retry must be ``replayed`` and leave the
+recovered target as it was.
 """
 
 import json
@@ -110,6 +115,14 @@ class Recorder:
         #: Per append: the segment it went to and that file's size
         #: before and after it.
         self.spans = [None]
+        #: The kind of each record appended so far.
+        self.kinds = []
+        #: The running step, as ``(resume key, text, idem token)``.
+        self.step = None
+        #: Idempotent steps whose ``write`` record was appended.
+        self.written = []
+        #: written_at[k]: those appended up to and including append k.
+        self.written_at = [[]]
 
     def __call__(self):
         k = len(self.expected)
@@ -119,6 +132,9 @@ class Recorder:
         if self.spans[-1] is not None and self.spans[-1][0] == path:
             before = self.spans[-1][2]
         self.spans.append((path, before, size))
+        if self.kinds[-1] == "write" and self.step[2] is not None:
+            self.written.append(self.step)
+        self.written_at.append(list(self.written))
         self.expected.append(observe(self.server))
         shutil.copytree(self.state_dir, self.cut(k))
 
@@ -126,11 +142,41 @@ class Recorder:
         return os.path.join(self.cuts_dir, f"after-{k:04d}")
 
 
-def recovered_state(state_dir):
+def live(steps, expected):
+    """The ``steps`` whose session ``expected`` still holds."""
+    return [step for step in steps if step[0] in expected["sessions"]]
+
+
+def recovered_state(state_dir, retries=()):
+    """The state recovery rebuilds from ``state_dir``.  With
+    ``retries`` — ``(resume key, text, token)`` steps — the server is
+    started and each is re-presented in its resumed session; every
+    one must be replayed, with the target left as recovered."""
     server = durable_server(state_dir)
-    server._recover()
+    if retries:
+        server.start()
+    else:
+        server._recover()
     try:
-        return observe(server)
+        state = observe(server)
+        by_key = {}
+        for key, text, token in retries:
+            by_key.setdefault(key, []).append((text, token))
+        for key, steps in by_key.items():
+            client = DuelClient(port=server.port, connect=False,
+                                timeout=20.0)
+            client._resume_key = key
+            client.connect()
+            try:
+                assert client.resumed, key
+                for text, token in steps:
+                    result = client.duel(text, idem=token)
+                    assert result.replayed, (token, result)
+            finally:
+                client._teardown()
+        if retries:
+            assert observe(server)["target"] == state["target"]
+        return state
     finally:
         server.simulate_crash()
 
@@ -142,16 +188,24 @@ def run_script(tmp_path, seed):
     recorder.server = server
     server.start()
     gap = {}
-    truncate = server.store.journal.truncate_sealed
+    journal = server.store.journal
+    truncate = journal.truncate_sealed
+    append = journal.append
 
     def truncate_after_copy():
         # The crash point between the checkpoint's rename and the
         # deletion of the segments it covers.
         shutil.copytree(state_dir, str(tmp_path / "gap"))
         gap["expected"] = observe(server)
+        gap["written"] = list(recorder.written)
         return truncate()
 
-    server.store.journal.truncate_sealed = truncate_after_copy
+    def recording_append(kind, **fields):
+        recorder.kinds.append(kind)
+        return append(kind, **fields)
+
+    journal.truncate_sealed = truncate_after_copy
+    journal.append = recording_append
     retry = RetryPolicy(retries=2, base=0.1, factor=1.5, max_backoff=0.3,
                         jitter=0.0)
     clients = [DuelClient(port=server.port, timeout=20.0, retry=retry)
@@ -174,6 +228,7 @@ def run_script(tmp_path, seed):
                 assert len(recorder.expected) > appended, \
                     "sess_close never journaled"
                 continue
+            recorder.step = (clients[who]._resume_key, text, token)
             result = clients[who].duel(text, idem=token)
             assert result.outcome in ("done", "faulted"), result
     finally:
@@ -187,10 +242,14 @@ def run_script(tmp_path, seed):
 def test_every_crash_point_recovers_the_recorded_state(tmp_path, seed):
     recorder, gap = run_script(tmp_path, seed)
     appends = len(recorder.expected) - 1
-    assert appends >= 20
+    assert appends >= 16
+    assert len(recorder.written) == 4         # w1, w2, w3, w5 committed
     keys = set()
     for k in range(1, appends + 1):
-        assert recovered_state(recorder.cut(k)) == recorder.expected[k], \
+        expected = recorder.expected[k]
+        assert recovered_state(recorder.cut(k),
+                               live(recorder.written_at[k],
+                                    expected)) == expected, \
             f"seed {seed}: crash after append {k}"
         if k < appends:
             # The same crash one append later, half-way through it.
@@ -206,4 +265,10 @@ def test_every_crash_point_recovers_the_recorded_state(tmp_path, seed):
                 f"seed {seed}: crash tearing append {k + 1}"
         keys.update(recorder.expected[k]["sessions"])
     assert len(keys) == 3                     # every session was seen
-    assert recovered_state(str(tmp_path / "gap")) == gap["expected"]
+    gap_retries = live(gap["written"], gap["expected"])
+    assert gap_retries
+    assert recovered_state(str(tmp_path / "gap"),
+                           gap_retries) == gap["expected"]
+    # Each committed write carried its token in its own ``write``
+    # record; the one ``idem`` record is the faulted, rolled-back w4.
+    assert recorder.kinds.count("idem") == 1

@@ -21,6 +21,7 @@ directory must recover:
 import io
 import json
 import os
+import shutil
 import socket
 import threading
 import time
@@ -142,6 +143,53 @@ class TestCrashRecovery:
             assert again.duel("x[3] = x[3] + 1", idem="tok-2").ok
             assert last_value(again.duel("x[3]")) == "x[3] = 778"
             again.close()
+        finally:
+            for s in (server, restarted):
+                if s is not None:
+                    s.stop()
+
+    def test_retry_across_the_write_idem_gap_is_replayed(self, tmp_path):
+        """A crash right after a committed write's ``write`` record
+        still leaves its token answered from the cache: the entry
+        rides in that record, no ``idem`` record follows it."""
+        state = tmp_path / "state"
+        cut = tmp_path / "cut"
+        kinds = []
+
+        def copy_after_the_write():
+            if kinds[-1] == "write" and not cut.exists():
+                shutil.copytree(state, cut)
+
+        server = make_server(state, journal_sync_hook=copy_after_the_write)
+        journal = server.store.journal
+        append = journal.append
+
+        def recording_append(kind, **fields):
+            kinds.append(kind)
+            return append(kind, **fields)
+
+        journal.append = recording_append
+        restarted = None
+        try:
+            client = connect(server.port)
+            key = client._resume_key
+            before = int(last_value(client.duel("x[3]")).split("=")[-1])
+            assert client.duel("x[3] = x[3] + 1", idem="tok").ok
+            client.close()
+            assert kinds[:2] == ["sess_open", "write"]
+            server.simulate_crash()
+
+            restarted = make_server(cut)
+            again = connect(restarted.port, resume_key=key)
+            assert again.resumed
+            want = f"x[3] = {before + 1}"
+            assert last_value(again.duel("x[3]")) == want
+            retry = again.duel("x[3] = x[3] + 1", idem="tok")
+            assert retry.ok
+            assert retry.replayed
+            assert last_value(again.duel("x[3]")) == want
+            again.close()
+            assert "idem" not in kinds
         finally:
             for s in (server, restarted):
                 if s is not None:

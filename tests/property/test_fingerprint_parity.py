@@ -74,6 +74,10 @@ def test_engines_record_the_same_statements_key(rig, text):
     """Driving through either engine lands on one table entry."""
     gen_session, sm_session = rig
     table = StatementStats()
+    # Each drive is a query of its own: without a reset, one step
+    # budget would be shared by every example the run generates.
+    gen_session.evaluator.reset()
+    sm_session.evaluator.reset()
 
     node = gen_session.compile(text)
     list(gen_session.evaluator.eval(node))

@@ -294,20 +294,44 @@ class TestSigint:
 
 
 class TestRemovedFlags:
-    """The constant-folding pass, the adaptive prefetcher and the
-    access log's own sampling coin are gone: their flags are usage
-    errors, not silently ignored."""
+    """The constant-folding pass, the page cache and the access log's
+    own sampling coin are gone: their flags are usage errors, not
+    silently ignored.  The error names the flag itself; an unknown
+    flag's value may be taken as the source path instead."""
 
     @pytest.mark.parametrize("flags", [
         ["--optimize"],
         ["--page-cache", "adaptive"],
         ["--access-sample"],
+        ["--page-cache", "demand"],
+        ["--page-size", "64"],
+        ["--page-cache-pages", "8"],
     ])
     def test_refused_by_the_argument_parser(self, source, flags, capsys):
         with pytest.raises(SystemExit) as caught:
             run_cli([*flags, "-e", "values[1+1]", source])
         assert caught.value.code == 2
-        assert flags[-1] in capsys.readouterr().err
+        assert flags[0] in capsys.readouterr().err
+
+
+class TestRemovedCacheCommands:
+    """The page cache's REPL surfaces went with it."""
+
+    def test_cache_is_an_ordinary_duel_name(self, tmp_path):
+        path = tmp_path / "cache.c"
+        path.write_text("int cache = 7;\nint main(void) { return 0; }\n")
+        status, text = run_cli([str(path)],
+                               stdin_text="help\ncache\nquit\n")
+        assert status == 0
+        assert "DUEL REPL commands" in text
+        assert "page-cache" not in text
+        assert "cache = 7" in text
+
+    def test_statements_by_physical_reads_prints_usage(self, source):
+        status, text = run_cli([source], stdin_text=(
+            "values[..4]\nstatements by physical_reads\nquit\n"))
+        assert "usage: statements [by " in text
+        assert "physical_reads" not in text
 
 
 class TestSampleFlags:

@@ -65,3 +65,27 @@ class TestPerQueryStatsReset:
         finally:
             session.tracing = False
         assert strip_wall(untraced) == strip_wall(traced)
+
+
+class TestOneReadPath:
+    """The evaluator reaches the target by one chain, tracing over
+    governed, whose reads, writes and ``is_mapped`` are bound to the
+    target's own once, when the chain is built."""
+
+    def test_page_cache_parameter_is_gone(self, session):
+        from repro import DuelSession
+        with pytest.raises(TypeError):
+            DuelSession(session.backend, page_cache="demand")
+
+    def test_stats_carry_only_logical_reads(self, session):
+        stats = run(session, "x[..10] >? 5")
+        assert stats["reads"] > 0
+        assert not [key for key in stats
+                    if key.startswith("cache_") or key == "physical_reads"]
+
+    def test_hot_path_is_bound_straight_to_the_target(self, session):
+        chain = session.evaluator.backend
+        target = session.backend
+        assert chain.__dict__["is_mapped"] == target.is_mapped
+        assert chain._inner_get == target.get_target_bytes
+        assert chain._inner_put == target.put_target_bytes

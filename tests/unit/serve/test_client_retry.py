@@ -57,6 +57,10 @@ class TestClassifyWrites:
     def test_unparseable_is_tagged_conservatively(self):
         assert classify_writes("]]]") is True
 
+    def test_string_literal_is_a_write(self):
+        # It allocates target scratch space for its bytes.
+        assert classify_writes('"abc"') is True
+
 
 def piped_client():
     """A client wired to a raw socketpair (we play the server)."""

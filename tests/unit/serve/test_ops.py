@@ -190,6 +190,8 @@ class TestJsonDoc:
         assert doc["health"]["served"] == 120
         assert doc["locality"]["accesses"] == {"served": 1}
         assert doc["locality"]["shapes"][0]["pattern"] == "sequential"
+        assert set(doc) == {"target", "status", "by", "health",
+                            "statements", "locality"}
 
     def test_unprofiled_shapes_excluded_from_locality(self):
         doc = ops.json_doc(sample_health(), sample_statements(), "h:1")

@@ -408,6 +408,22 @@ class TestAccessesOp:
         assert reads == sorted(reads, reverse=True)
         assert len(reads) == 2
 
+    def test_statements_by_physical_reads_is_refused(self, stat_server):
+        with connect(stat_server) as client:
+            client.duel("x[..10]")
+            client._send({"op": "statements", "id": 9,
+                          "by": "physical_reads"})
+            reply = client.read_frame()
+        assert reply["ev"] == "error"
+        assert "'by' must be one of" in reply["error"]
+
+    def test_health_has_no_cache_section(self, stat_server):
+        with connect(stat_server) as client:
+            client.duel("x[..10]")
+            health = client.health()
+        assert "accesses" in health
+        assert "cache" not in health
+
     def test_malformed_accesses_is_rejected(self, stat_server):
         with connect(stat_server) as client:
             client._send({"op": "accesses", "id": 9})

@@ -161,6 +161,10 @@ class TestClassify:
         client = manager.open("a#1")
         assert manager.classify(client, ")))") is False
 
+    def test_string_literal_is_a_write(self, manager):
+        client = manager.open("a#1")
+        assert manager.classify(client, '"abc"') is True
+
 
 class TestSnapshotIsolation:
     def test_write_sees_its_own_effect(self, manager):
@@ -182,6 +186,15 @@ class TestSnapshotIsolation:
         baseline = drain(manager, b, "x[..10]")[1]
         drain(manager, a, "x[..10] = 0")
         assert drain(manager, b, "x[..10]")[1] == baseline
+
+    def test_string_literal_allocation_rolls_back(self, manager,
+                                                  program):
+        a = manager.open("a#1")
+        assert program.heap.bytes_allocated == 0
+        outcome, lines, _ = drain(manager, a, '"abc"')
+        assert outcome == "done"
+        assert lines
+        assert program.heap.bytes_allocated == 0
 
     def test_faulted_write_still_restores(self, manager):
         a = manager.open("a#1")

@@ -10,7 +10,6 @@ from repro.debugger.debugger import StopKind
 from repro.target import builder, snapshot
 from repro.target.interface import FaultInjectingBackend, SimulatorBackend
 from repro.target.memory import Memory
-from repro.target.pagecache import PageCachePolicy, PageCachingBackend
 from repro.target.program import TargetProgram
 
 # The watchpoints_assertions example scenario: a stack machine whose
@@ -301,24 +300,46 @@ class TestInPlaceRestore:
         session = DuelSession(SimulatorBackend(rebuilt))
         assert session.eval_values("x[..3]") == [5, 6, 7]
 
-    def test_page_cache_misses_after_restore(self, program):
-        builder.int_array(program, "x", [5, 6, 7])
-        address = program.lookup("x").address
-        cache = PageCachingBackend(SimulatorBackend(program),
-                                   PageCachePolicy(),
-                                   lambda: program.memory.epoch)
-        snap = snapshot.take(program)
-        program.memory.write(address, (9).to_bytes(4, "little"))
-        assert cache.get_target_bytes(address, 4) == \
-            (9).to_bytes(4, "little")
-        assert cache.get_target_bytes(address, 4) == \
-            (9).to_bytes(4, "little")
-        misses = cache.misses
-        snapshot.restore(program, snap)
-        assert cache.get_target_bytes(address, 4) == \
-            (5).to_bytes(4, "little")
-        assert cache.misses == misses + 1
 
+
+# -- the memory epoch ----------------------------------------------------
+
+def test_memory_mutations_bump_epoch():
+    memory = Memory()
+    assert memory.epoch == 0
+    memory.map_new("data", 0x1000, 256)
+    after_map = memory.epoch
+    assert after_map > 0
+    memory.write(0x1000, b"\x01\x02")
+    after_write = memory.epoch
+    assert after_write > after_map
+    memory.read(0x1000, 2)
+    assert memory.epoch == after_write         # reads never bump
+    memory.unmap("data")
+    assert memory.epoch > after_write
+
+
+def test_snapshot_carries_epoch_and_restore_advances_past_it():
+    program = TargetProgram()
+    builder.int_array(program, "x", [1, 2, 3, 4])
+    snap = snapshot.take(program)
+    assert snap.epoch == program.memory.epoch
+    region = program.memory.regions[0]
+    program.memory.write(region.base, b"\xFF\xFF\xFF\xFF")
+    mutated = program.memory.epoch
+    snapshot.restore(program, snap)
+    assert program.memory.epoch > max(mutated, snap.epoch)
+
+
+def test_serialized_snapshot_round_trips_epoch():
+    program = TargetProgram()
+    builder.int_array(program, "x", [9, 8, 7])
+    snap = snapshot.take(program)
+    blob = snap.serialize()
+    fresh = TargetProgram()
+    builder.int_array(fresh, "x", [0, 0, 0])
+    revived = snapshot.Snapshot.deserialize(blob, fresh)
+    assert revived.epoch == snap.epoch
 
 def _vm_rss_kb():
     with open("/proc/self/status") as status:
